@@ -153,7 +153,13 @@ func BenchmarkIMDBPipeline(b *testing.B) {
 	h := experiments.IMDBAnalog(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := hyperline.SLineGraph(h, 101, hyperline.Options{TLSDenseCounters: true})
+		qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+			Hypergraph: h, S: []int{101}, Options: hyperline.Options{Counters: hyperline.StoreDense},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := qr.Entries[0].Result
 		algo.ConnectedComponents(res.Graph)
 		algo.Betweenness(res.Graph, par.Options{})
 	}
@@ -560,7 +566,10 @@ func BenchmarkQuickstartPipeline(b *testing.B) {
 	h := experiments.CompBoardAnalog(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := hyperline.SLineGraph(h, 2, hyperline.Options{})
-		hyperline.SConnectedComponents(res)
+		qr, err := hyperline.Execute(context.Background(), hyperline.Query{Hypergraph: h, S: []int{2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hyperline.SConnectedComponents(qr.Entries[0].Result)
 	}
 }

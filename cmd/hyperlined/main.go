@@ -58,10 +58,11 @@
 // Endpoints (see internal/serve.NewHandler):
 //
 //	curl -X PUT --data-binary @data.hgr 'localhost:8080/v1/datasets/web'
-//	curl 'localhost:8080/v1/datasets/web/slinegraph?s=4'
-//	curl 'localhost:8080/v1/datasets/web/components?s=4'
-//	curl 'localhost:8080/v1/datasets/web/measures?s=1:4&measure=diameter'
+//	curl -X POST -d '{"dataset":"web","s":[4],"edges":true}' 'localhost:8080/v2/query'
+//	curl -X POST -d '{"dataset":"web","kind":"clique","s":"1:3","config":"2CA"}' 'localhost:8080/v2/query'
+//	curl -X POST -d '{"dataset":"web","s":[4],"measure":"components"}' 'localhost:8080/v2/query'
 //	curl -X POST -d '{"dataset":"web","s":"1:4","measure":"diameter","timeout_ms":500}' 'localhost:8080/v2/query'
+//	curl -X POST -d '{"s":"1:8","config":"2CA"}' 'localhost:8080/v1/datasets/web/warmup'
 //	curl -X POST -d '{"dataset":"web","inserts":[[0,3,7]],"deletes":[12]}' 'localhost:8080/v2/ingest'
 //	curl 'localhost:8080/v2/datasets/web/changes?since=1&timeout_ms=5000'
 //	curl 'localhost:8080/v1/measures'
@@ -163,6 +164,16 @@ func heartbeat(ctx context.Context, router, advertise string, interval time.Dura
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow or stalled connections cannot pin server goroutines;
+// idleTimeout closes keep-alive connections left idle. Request bodies
+// and handlers are bounded separately (MaxBytesReader, request
+// contexts), since queries may legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", serve.DefaultCacheEntries, "LRU capacity in cached pipeline results")
@@ -259,7 +270,7 @@ func main() {
 	if *reqTimeout > 0 {
 		handler = withRequestTimeout(handler, *reqTimeout)
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	// SIGINT/SIGTERM starts a graceful drain: Shutdown stops accepting
 	// and waits for in-flight requests; if the drain window expires,

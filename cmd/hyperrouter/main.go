@@ -40,6 +40,16 @@ import (
 	"hyperline/internal/cluster"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow or stalled connections cannot pin server goroutines;
+// idleTimeout closes keep-alive connections left idle. Request bodies
+// and handlers are bounded separately (MaxBytesReader, request
+// contexts), since queries may legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated hyperlined base URLs (replicas may also self-register via POST /v1/replicas)")
@@ -68,7 +78,7 @@ func main() {
 	defer stop()
 	go rt.Run(ctx)
 
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("hyperrouter listening on %s (%d seed replicas, replication %d)", *addr, len(seed), *replication)

@@ -1,21 +1,26 @@
 package hyperline_test
 
 import (
+	"context"
 	"fmt"
 
 	"hyperline"
 )
 
-// ExampleSLineGraph computes the 2-line graph of the paper's running
+// ExampleExecute computes the 2-line graph of the paper's running
 // example: hyperedges sharing at least two vertices become adjacent.
-func ExampleSLineGraph() {
+func ExampleExecute() {
 	h := hyperline.FromEdgeSlices([][]uint32{
 		{0, 1, 2},       // hyperedge 0: {a,b,c}
 		{1, 2, 3},       // hyperedge 1: {b,c,d}
 		{0, 1, 2, 3, 4}, // hyperedge 2: {a,b,c,d,e}
 		{4, 5},          // hyperedge 3: {e,f}
 	}, 6)
-	res := hyperline.SLineGraph(h, 2, hyperline.Options{})
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{Hypergraph: h, S: []int{2}})
+	if err != nil {
+		panic(err)
+	}
+	res := qr.Entries[0].Result
 	for _, e := range res.Graph.Edges() {
 		fmt.Printf("hyperedge %d -- %d (overlap %d)\n",
 			res.HyperedgeID(e.U), res.HyperedgeID(e.V), e.W)
@@ -26,14 +31,21 @@ func ExampleSLineGraph() {
 	// hyperedge 1 -- 2 (overlap 3)
 }
 
-// ExampleSCliqueGraph computes the clique expansion (the 1-clique
+// ExampleExecute_clique computes the clique expansion (the 1-clique
 // graph) and reads off adj(b, c), the number of hyperedges containing
 // both vertices.
-func ExampleSCliqueGraph() {
+func ExampleExecute_clique() {
 	h := hyperline.FromEdgeSlices([][]uint32{
 		{0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {4, 5},
 	}, 6)
-	clique := hyperline.SCliqueGraph(h, 1, hyperline.Options{NoSqueeze: true})
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: h, Kind: hyperline.KindClique, S: []int{1},
+		Options: hyperline.Options{NoSqueeze: true},
+	})
+	if err != nil {
+		panic(err)
+	}
+	clique := qr.Entries[0].Result
 	fmt.Println("edges:", clique.Graph.NumEdges())
 	fmt.Println("adj(b,c):", clique.Graph.Weight(1, 2))
 	// Output:
@@ -41,15 +53,22 @@ func ExampleSCliqueGraph() {
 	// adj(b,c): 3
 }
 
-// ExampleSLineGraphEnsemble sweeps s and reports when the line graph
-// becomes empty, together with MaxOverlap.
-func ExampleSLineGraphEnsemble() {
+// ExampleExecute_ensemble sweeps s with one Algorithm 3 counting pass
+// and reports when the line graph becomes empty, together with
+// MaxOverlap.
+func ExampleExecute_ensemble() {
 	h := hyperline.FromEdgeSlices([][]uint32{
 		{0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {4, 5},
 	}, 6)
-	ens := hyperline.SLineGraphEnsemble(h, []int{1, 2, 3, 4}, hyperline.Options{})
-	for s := 1; s <= 4; s++ {
-		fmt.Printf("s=%d: %d edges\n", s, ens[s].Graph.NumEdges())
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: h, S: []int{1, 2, 3, 4},
+		Options: hyperline.Options{Algorithm: hyperline.AlgoEnsemble},
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range qr.Entries {
+		fmt.Printf("s=%d: %d edges\n", e.S, e.Result.Graph.NumEdges())
 	}
 	fmt.Println("max overlap:", hyperline.MaxOverlap(h, 0))
 	// Output:
@@ -69,12 +88,13 @@ func ExampleSession() {
 		{0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {4, 5},
 	}, 6))
 	sess.Warmup("paper", []int{1, 2, 3}, hyperline.Options{})
-	for s := 1; s <= 3; s++ {
-		res, _ := sess.SLineGraph("paper", s, hyperline.Options{})
-		fmt.Printf("s=%d: %d edges\n", s, res.Graph.NumEdges())
+	ctx := context.Background()
+	qr, _ := sess.Execute(ctx, hyperline.Query{Dataset: "paper", S: []int{1, 2, 3}})
+	for _, e := range qr.Entries {
+		fmt.Printf("s=%d: %d edges\n", e.S, e.Result.Graph.NumEdges())
 	}
-	res, _ := sess.SLineGraph("paper", 2, hyperline.Options{}) // cache hit
-	fmt.Println("components at s=2:", hyperline.SConnectedComponents(res).Count)
+	qr, _ = sess.Execute(ctx, hyperline.Query{Dataset: "paper", S: []int{2}}) // cache hit
+	fmt.Println("components at s=2:", hyperline.SConnectedComponents(qr.Entries[0].Result).Count)
 	st := sess.CacheStats()
 	fmt.Println("cached projections:", st.Entries)
 	// Output:

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 	"sort"
 
 	"hyperline"
@@ -27,9 +29,16 @@ func main() {
 	fmt.Printf("gene-condition hypergraph: %d genes (hyperedges), %d conditions (vertices)\n",
 		h.NumEdges(), h.NumVertices())
 
-	ens := hyperline.SLineGraphEnsemble(h, []int{1, 3, 5}, hyperline.Options{})
-	for _, s := range []int{1, 3, 5} {
-		res := ens[s]
+	// One counting pass (Algorithm 3) serves the whole sweep.
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: h, S: []int{1, 3, 5},
+		Options: hyperline.Options{Algorithm: hyperline.AlgoEnsemble},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range qr.Entries {
+		s, res := e.S, e.Result
 		cc := hyperline.SConnectedComponents(res)
 		fmt.Printf("\ns=%d line graph: %d genes, %d edges, %d components\n",
 			s, res.Graph.NumNodes(), res.Graph.NumEdges(), cc.Count)
@@ -37,7 +46,7 @@ func main() {
 
 	// Rank genes in the 5-line graph by s-betweenness centrality
 	// (degree as tiebreak): the planted hubs emerge.
-	res := ens[5]
+	res := qr.Entries[2].Result
 	bc := hyperline.SBetweenness(res, 0)
 	type ranked struct {
 		gene  uint32

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 	"time"
 
 	"hyperline"
@@ -30,7 +32,11 @@ func main() {
 		h.NumEdges(), h.NumVertices())
 
 	t0 := time.Now()
-	res := hyperline.SLineGraph(h, *s, hyperline.Options{})
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{Hypergraph: h, S: []int{*s}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := qr.Entries[0].Result
 	fmt.Printf("%d-line graph computed in %v: %d actors, %d edges\n",
 		*s, time.Since(t0), res.Graph.NumNodes(), res.Graph.NumEdges())
 

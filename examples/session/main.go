@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"hyperline"
@@ -30,23 +31,30 @@ func main() {
 		panic(err)
 	}
 
-	for _, s := range sweep {
-		res, err := sess.SLineGraph("communities", s, hyperline.Options{})
-		if err != nil {
-			panic(err)
-		}
+	// Every query after the warmup is served from the cache.
+	ctx := context.Background()
+	qr, err := sess.Execute(ctx, hyperline.Query{Dataset: "communities", S: sweep})
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range qr.Entries {
+		res := e.Result
 		cc := hyperline.SConnectedComponents(res)
-		fmt.Printf("s=%d: %d nodes, %d edges, %d components\n",
-			s, res.Graph.NumNodes(), res.Graph.NumEdges(), cc.Count)
+		fmt.Printf("s=%d: %d nodes, %d edges, %d components (cached %v)\n",
+			e.S, res.Graph.NumNodes(), res.Graph.NumEdges(), cc.Count, e.Cached)
 	}
 
-	// Repeats are free: this hits the cache, no pipeline run.
-	res, _ := sess.SLineGraph("communities", 2, hyperline.Options{})
-	bc := hyperline.SBetweenness(res, 0)
+	// A measure query reuses the cached projection and caches the
+	// measure value in turn.
+	mq, err := sess.Execute(ctx, hyperline.Query{Dataset: "communities", S: []int{2}, Measure: "betweenness"})
+	if err != nil {
+		panic(err)
+	}
+	m := mq.Entries[0].Measure
 	best, bestScore := uint32(0), -1.0
-	for u, score := range bc {
+	for u, score := range m.Value.Scores {
 		if score > bestScore {
-			best, bestScore = res.HyperedgeID(uint32(u)), score
+			best, bestScore = m.HyperedgeIDs[u], score
 		}
 	}
 	fmt.Printf("most central hyperedge at s=2: %d\n", best)

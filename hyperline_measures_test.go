@@ -7,7 +7,7 @@ import (
 
 func TestSClosenessAndHarmonicOnExample(t *testing.T) {
 	// 1-line graph of the example: triangle {0,1,2} + pendant 3 on 2.
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 1, Options{NoSqueeze: true})
 	c := SCloseness(res, 2)
 	h := SHarmonic(res, 2)
 	if len(c) != 4 || len(h) != 4 {
@@ -27,7 +27,7 @@ func TestSClosenessAndHarmonicOnExample(t *testing.T) {
 }
 
 func TestSEccentricityAndDiameter(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 1, Options{NoSqueeze: true})
 	ecc := SEccentricities(res, 0)
 	// Node 2 reaches everything in 1 hop; nodes 0,1,3 need 2 hops.
 	if ecc[2] != 1 || ecc[0] != 2 || ecc[3] != 2 {
@@ -39,7 +39,7 @@ func TestSEccentricityAndDiameter(t *testing.T) {
 }
 
 func TestClusteringOnLineGraph(t *testing.T) {
-	res := SLineGraph(example(), 2, Options{})
+	res := project(t, KindLine, example(), 2, Options{})
 	// The 2-line graph is a triangle.
 	cc := ClusteringCoefficients(res.Graph, 0)
 	for _, c := range cc {
@@ -59,8 +59,8 @@ func TestMaxOverlapFacade(t *testing.T) {
 	}
 	// Consistency: the MaxOverlap-line graph is non-empty, one past
 	// it is empty.
-	at := SLineGraph(h, 3, Options{})
-	past := SLineGraph(h, 4, Options{})
+	at := project(t, KindLine, h, 3, Options{})
+	past := project(t, KindLine, h, 4, Options{})
 	if at.Graph.NumEdges() == 0 || past.Graph.NumEdges() != 0 {
 		t.Fatal("MaxOverlap inconsistent with s-line graph emptiness")
 	}

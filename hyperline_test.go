@@ -1,6 +1,7 @@
 package hyperline
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -16,8 +17,28 @@ func example() *Hypergraph {
 	}, 6)
 }
 
+// sweep answers one projection per distinct s through Execute.
+func sweep(t *testing.T, kind Kind, h *Hypergraph, sValues []int, opt Options) map[int]*Result {
+	t.Helper()
+	qr, err := Execute(context.Background(), Query{Hypergraph: h, Kind: kind, S: sValues, Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int]*Result, len(qr.Entries))
+	for _, e := range qr.Entries {
+		out[e.S] = e.Result
+	}
+	return out
+}
+
+// project answers the s-line (or s-clique) graph at one s.
+func project(t *testing.T, kind Kind, h *Hypergraph, s int, opt Options) *Result {
+	t.Helper()
+	return sweep(t, kind, h, []int{s}, opt)[s]
+}
+
 func TestSLineGraphQuickstart(t *testing.T) {
-	res := SLineGraph(example(), 2, Options{})
+	res := project(t, KindLine, example(), 2, Options{})
 	if res.Graph.NumEdges() != 3 {
 		t.Fatalf("2-line graph edges = %d, want 3", res.Graph.NumEdges())
 	}
@@ -37,7 +58,7 @@ func TestSLineGraphQuickstart(t *testing.T) {
 func TestSCliqueGraphIsCliqueExpansionAtS1(t *testing.T) {
 	// The 1-clique graph is the clique expansion H₂ (Figure 3): edges
 	// between every vertex pair co-occurring in some hyperedge.
-	res := SCliqueGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindClique, example(), 1, Options{NoSqueeze: true})
 	want := [][2]uint32{
 		{0, 1}, {0, 2}, {0, 3}, {0, 4},
 		{1, 2}, {1, 3}, {1, 4},
@@ -56,19 +77,19 @@ func TestSCliqueGraphIsCliqueExpansionAtS1(t *testing.T) {
 
 func TestSCliqueWeightsAreSharedEdgeCounts(t *testing.T) {
 	// adj(b,c) = 3: vertices b and c share three hyperedges.
-	res := SCliqueGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindClique, example(), 1, Options{NoSqueeze: true})
 	if w := res.Graph.Weight(1, 2); w != 3 {
 		t.Fatalf("weight(b,c) = %d, want 3", w)
 	}
 }
 
 func TestSConnectedComponentsOnExample(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 1, Options{NoSqueeze: true})
 	cc := SConnectedComponents(res)
 	if cc.Count != 1 {
 		t.Fatalf("1-line graph components = %d, want 1", cc.Count)
 	}
-	res3 := SLineGraph(example(), 3, Options{NoSqueeze: true})
+	res3 := project(t, KindLine, example(), 3, Options{NoSqueeze: true})
 	cc3 := SConnectedComponents(res3)
 	// s=3: {0,1,2} connected; 3 isolated → 2 components.
 	if cc3.Count != 2 {
@@ -78,9 +99,9 @@ func TestSConnectedComponentsOnExample(t *testing.T) {
 
 func TestEnsembleMatchesSingleRuns(t *testing.T) {
 	h := example()
-	ens := SLineGraphEnsemble(h, []int{1, 2, 3}, Options{})
+	ens := sweep(t, KindLine, h, []int{1, 2, 3}, Options{Algorithm: AlgoEnsemble})
 	for s := 1; s <= 3; s++ {
-		single := SLineGraph(h, s, Options{})
+		single := project(t, KindLine, h, s, Options{})
 		if ens[s].Graph.NumEdges() != single.Graph.NumEdges() {
 			t.Fatalf("s=%d: ensemble %d edges, single %d", s,
 				ens[s].Graph.NumEdges(), single.Graph.NumEdges())
@@ -90,12 +111,12 @@ func TestEnsembleMatchesSingleRuns(t *testing.T) {
 
 func TestAlgorithmsAgreeViaFacade(t *testing.T) {
 	h := example()
-	a1 := SLineGraph(h, 2, Options{Algorithm: AlgoSetIntersection, ExactWeights: true})
-	a2 := SLineGraph(h, 2, Options{Algorithm: AlgoHashmap})
-	a2t := SLineGraph(h, 2, Options{Algorithm: AlgoHashmap, TLSDenseCounters: true})
-	a3 := SLineGraph(h, 2, Options{Algorithm: AlgoEnsemble})
-	sp := SLineGraph(h, 2, Options{Algorithm: AlgoSpGEMM})
-	auto := SLineGraph(h, 2, Options{Algorithm: AlgoAuto})
+	a1 := project(t, KindLine, h, 2, Options{Algorithm: AlgoSetIntersection, ExactWeights: true})
+	a2 := project(t, KindLine, h, 2, Options{Algorithm: AlgoHashmap})
+	a2t := project(t, KindLine, h, 2, Options{Algorithm: AlgoHashmap, Counters: StoreDense})
+	a3 := project(t, KindLine, h, 2, Options{Algorithm: AlgoEnsemble})
+	sp := project(t, KindLine, h, 2, Options{Algorithm: AlgoSpGEMM})
+	auto := project(t, KindLine, h, 2, Options{Algorithm: AlgoAuto})
 	if !reflect.DeepEqual(a1.Graph.Edges(), a2.Graph.Edges()) {
 		t.Fatal("algorithm 1 and 2 disagree")
 	}
@@ -114,25 +135,25 @@ func TestAlgorithmsAgreeViaFacade(t *testing.T) {
 
 func TestSLineGraphsBatchMatchesSingles(t *testing.T) {
 	h := example()
-	batch := SLineGraphs(h, []int{1, 2, 3, 4}, Options{})
+	batch := sweep(t, KindLine, h, []int{1, 2, 3, 4}, Options{})
 	if len(batch) != 4 {
 		t.Fatalf("batch returned %d results, want 4", len(batch))
 	}
 	for s := 1; s <= 4; s++ {
-		single := SLineGraph(h, s, Options{})
+		single := project(t, KindLine, h, s, Options{})
 		if !reflect.DeepEqual(batch[s].Graph.Edges(), single.Graph.Edges()) {
 			t.Fatalf("s=%d: batch differs from single run", s)
 		}
 	}
-	cliques := SCliqueGraphs(h, []int{1, 2}, Options{NoSqueeze: true})
-	want := SCliqueGraph(h, 1, Options{NoSqueeze: true})
+	cliques := sweep(t, KindClique, h, []int{1, 2}, Options{NoSqueeze: true})
+	want := project(t, KindClique, h, 1, Options{NoSqueeze: true})
 	if !reflect.DeepEqual(cliques[1].Graph.Edges(), want.Graph.Edges()) {
 		t.Fatal("batched clique graphs differ from single run")
 	}
 }
 
 func TestBetweennessAndPageRankOnLineGraph(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 1, Options{NoSqueeze: true})
 	b := SBetweenness(res, 2)
 	if len(b) != 4 {
 		t.Fatalf("betweenness len = %d, want 4", len(b))
@@ -157,7 +178,7 @@ func TestBetweennessAndPageRankOnLineGraph(t *testing.T) {
 }
 
 func TestSDistances(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 1, Options{NoSqueeze: true})
 	d := SDistances(res.Graph, 0)
 	// 0-1 adjacent, 0-2 adjacent, 0-3 via 2.
 	want := []int32{0, 1, 1, 2}
@@ -167,7 +188,7 @@ func TestSDistances(t *testing.T) {
 }
 
 func TestLabelPropagationCCFacade(t *testing.T) {
-	res := SLineGraph(example(), 3, Options{NoSqueeze: true})
+	res := project(t, KindLine, example(), 3, Options{NoSqueeze: true})
 	lp := LabelPropagationCC(res.Graph, 4)
 	uf := SConnectedComponents(res)
 	if lp.Count != uf.Count || !reflect.DeepEqual(lp.Label, uf.Label) {
@@ -177,20 +198,20 @@ func TestLabelPropagationCCFacade(t *testing.T) {
 
 func TestNormalizedAlgebraicConnectivityFacade(t *testing.T) {
 	// 1-line graph of the example: triangle (0,1,2) + pendant 3 on 2.
-	res := SLineGraph(example(), 1, Options{})
+	res := project(t, KindLine, example(), 1, Options{})
 	lam := NormalizedAlgebraicConnectivity(res.Graph)
 	if lam <= 0 || lam >= 2 {
 		t.Fatalf("λ₂ = %f out of (0,2)", lam)
 	}
 	// The triangle-only s=2 graph is better connected.
-	res2 := SLineGraph(example(), 2, Options{})
+	res2 := project(t, KindLine, example(), 2, Options{})
 	if l2 := NormalizedAlgebraicConnectivity(res2.Graph); l2 <= lam {
 		t.Fatalf("λ₂(s=2)=%f should exceed λ₂(s=1)=%f", l2, lam)
 	}
 }
 
 func TestToplexOption(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{Toplex: true})
+	res := project(t, KindLine, example(), 1, Options{Toplex: true})
 	// Only toplexes {3, 4} (ids 2, 3) survive → a single edge.
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("toplex 1-line edges = %d, want 1", res.Graph.NumEdges())
@@ -225,7 +246,7 @@ func TestBuilderFacade(t *testing.T) {
 	b.AddEdge(0, 1, 2)
 	b.AddEdge(1, 2, 3)
 	h := b.Build()
-	res := SLineGraph(h, 1, Options{})
+	res := project(t, KindLine, h, 1, Options{})
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1", res.Graph.NumEdges())
 	}

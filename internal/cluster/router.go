@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hyperline/internal/core"
+	"hyperline/internal/serve"
 )
 
 // Config parameterizes a Router.
@@ -278,8 +279,8 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad register body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)).Decode(&body); err != nil {
+		writeError(w, serve.BodyStatus(err), fmt.Errorf("cluster: bad register body: %w", err))
 		return
 	}
 	u, err := url.Parse(body.URL)
@@ -564,8 +565,10 @@ type replicaHeader struct {
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var base map[string]json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&base); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad /v2/query body: %w", err))
+	// Bounded like the replica's own /v2/query: a body the replicas
+	// would refuse is refused here, before any fan-out.
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)).Decode(&base); err != nil {
+		writeError(w, serve.BodyStatus(err), fmt.Errorf("cluster: bad /v2/query body: %w", err))
 		return
 	}
 	var dataset string

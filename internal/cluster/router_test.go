@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -784,5 +785,46 @@ func TestRouterChangesProxy(t *testing.T) {
 	nresp.Body.Close()
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("changes for unknown dataset: %d, want the replica's 404", nresp.StatusCode)
+	}
+}
+
+// oversizedBody is valid JSON one pad byte past serve.MaxRequestBytes.
+func oversizedBody(prefix string) string {
+	return prefix + `"pad":"` + strings.Repeat("x", serve.MaxRequestBytes) + `"}`
+}
+
+// TestRouterQueryBodyBounded: the router refuses a /v2/query body the
+// replicas would refuse, with 413 and before any fan-out.
+func TestRouterQueryBodyBounded(t *testing.T) {
+	var hits atomic.Int64
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	t.Cleanup(rep.Close)
+	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+	status, _, data := postQuery(t, router.URL, oversizedBody(`{"dataset":"paper","s":[1],`))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized query: status %d, want 413: %s", status, data)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("oversized query reached a replica %d times", n)
+	}
+}
+
+// TestRouterRegisterBodyBounded: replica registration bodies share the
+// bound.
+func TestRouterRegisterBodyBounded(t *testing.T) {
+	rt, router := newRouterServer(t, Config{Replication: 1})
+	resp, err := http.Post(router.URL+"/v1/replicas", "application/json",
+		strings.NewReader(oversizedBody(`{"url":"http://127.0.0.1:1",`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized registration: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(rt.Replicas()); n != 0 {
+		t.Fatalf("oversized registration added %d replicas", n)
 	}
 }

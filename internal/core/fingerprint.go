@@ -1,8 +1,35 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
 
-// Fingerprint returns a canonical string identifying the *output class*
+	"hyperline/internal/hg"
+)
+
+// Fingerprint identifies the *output class* of a pipeline run: the
+// options component of the serving layer's cache keys. It is a
+// comparable value; String renders the form embedded in spill files.
+type Fingerprint struct {
+	// Exact is false only for short-circuiting Algorithm 1, whose
+	// weights are ≥ s bounds rather than exact overlap counts.
+	Exact   bool
+	Relabel hg.RelabelOrder
+	Toplex  ToplexMode
+	Squeeze bool
+}
+
+// String renders the fingerprint as
+// "class=exact|shortcircuit,relabel=N|A|D,toplex=false|true,squeeze=B".
+// Spill files embed this form, so it must stay stable across releases.
+func (f Fingerprint) String() string {
+	class := "exact"
+	if !f.Exact {
+		class = "shortcircuit"
+	}
+	return fmt.Sprintf("class=%s,relabel=%s,toplex=%s,squeeze=%t", class, f.Relabel, f.Toplex, f.Squeeze)
+}
+
+// Fingerprint returns the canonical value identifying the *output class*
 // of a pipeline run — the cache key component used by the serving layer
 // to decide whether two requests may share a result.
 //
@@ -32,11 +59,11 @@ import "fmt"
 // auto knob fingerprints distinctly ("*" / "auto") rather than
 // colliding with a concrete choice. The Stats, Costs, and KnobReason
 // fields are execution hints and excluded.
-func (c PipelineConfig) Fingerprint() string {
-	class := "exact"
-	if c.Core.Algorithm == AlgoSetIntersection && !c.Core.DisableShortCircuit {
-		class = "shortcircuit"
+func (c PipelineConfig) Fingerprint() Fingerprint {
+	return Fingerprint{
+		Exact:   c.Core.Algorithm != AlgoSetIntersection || c.Core.DisableShortCircuit,
+		Relabel: c.Core.Relabel,
+		Toplex:  c.Toplex,
+		Squeeze: !c.NoSqueeze,
 	}
-	return fmt.Sprintf("class=%s,relabel=%s,toplex=%s,squeeze=%t",
-		class, c.Core.Relabel, c.Toplex, !c.NoSqueeze)
 }

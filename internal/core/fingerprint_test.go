@@ -19,7 +19,7 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	}
 	for i, v := range variants {
 		if got, want := v.Fingerprint(), base.Fingerprint(); got != want {
-			t.Errorf("variant %d: fingerprint %q differs from base %q", i, got, want)
+			t.Errorf("variant %d: fingerprint %v differs from base %v", i, got, want)
 		}
 	}
 }
@@ -39,7 +39,7 @@ func TestFingerprintCanonicalizesOutputClass(t *testing.T) {
 	}
 	for i, v := range exactClass {
 		if got, want := v.Fingerprint(), base.Fingerprint(); got != want {
-			t.Errorf("exact-class variant %d: fingerprint %q differs from base %q", i, got, want)
+			t.Errorf("exact-class variant %d: fingerprint %v differs from base %v", i, got, want)
 		}
 	}
 	// Short-circuited Algorithm 1 is the one genuinely different output
@@ -59,11 +59,11 @@ func TestFingerprintSeparatesOutputRelevantFields(t *testing.T) {
 		{Toplex: ToplexOn},
 		{NoSqueeze: true},
 	}
-	seen := map[string]int{}
+	seen := map[Fingerprint]int{}
 	for i, c := range configs {
 		fp := c.Fingerprint()
 		if j, dup := seen[fp]; dup {
-			t.Errorf("configs %d and %d collide on fingerprint %q", j, i, fp)
+			t.Errorf("configs %d and %d collide on fingerprint %v", j, i, fp)
 		}
 		seen[fp] = i
 	}

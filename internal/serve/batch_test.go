@@ -19,7 +19,7 @@ func TestBatchFillsPerSCache(t *testing.T) {
 	cfg := core.PipelineConfig{}
 	sweep := []int{1, 2, 3, 4}
 
-	results, cached, err := svc.SLineGraphs(context.Background(), "rand", sweep, cfg)
+	results, cached, err := lineGraphs(svc, context.Background(), "rand", sweep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBatchFillsPerSCache(t *testing.T) {
 			t.Fatalf("s=%d: batch edges differ from direct run", sVal)
 		}
 		// Single-s queries must hit the entries the batch seeded.
-		res, hit, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+		res, hit, err := lineGraph(svc, context.Background(), "rand", sVal, cfg)
 		if err != nil || !hit {
 			t.Fatalf("s=%d: single query after batch: hit=%v err=%v", sVal, hit, err)
 		}
@@ -45,7 +45,7 @@ func TestBatchFillsPerSCache(t *testing.T) {
 	}
 
 	// A partially-overlapping batch only computes the new s values.
-	results2, cached2, err := svc.SLineGraphs(context.Background(), "rand", []int{2, 3, 5}, cfg)
+	results2, cached2, err := lineGraphs(svc, context.Background(), "rand", []int{2, 3, 5}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestBatchFillsPerSCache(t *testing.T) {
 	}
 }
 
-// TestBatchDualOrientation: SCliqueGraphs batches against the dual and
+// TestBatchDualOrientation: a clique sweep batches against the dual and
 // matches direct dual runs.
 func TestBatchDualOrientation(t *testing.T) {
 	h := randomHypergraph(23, 150, 120, 5)
 	svc := New(Config{})
 	svc.Add("rand", h)
 	sweep := []int{1, 2}
-	results, _, err := svc.SCliqueGraphs(context.Background(), "rand", sweep, core.PipelineConfig{})
+	results, _, err := cliqueGraphs(svc, context.Background(), "rand", sweep, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestBatchDualOrientation(t *testing.T) {
 func TestBatchRejectsBadInput(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	if _, _, err := svc.SLineGraphs(context.Background(), "h", nil, core.PipelineConfig{}); err == nil {
+	if _, _, err := lineGraphs(svc, context.Background(), "h", nil, core.PipelineConfig{}); err == nil {
 		t.Fatal("want error for empty batch")
 	}
-	if _, _, err := svc.SLineGraphs(context.Background(), "h", []int{2, 0}, core.PipelineConfig{}); err == nil {
+	if _, _, err := lineGraphs(svc, context.Background(), "h", []int{2, 0}, core.PipelineConfig{}); err == nil {
 		t.Fatal("want error for s=0 in batch")
 	}
-	if _, _, err := svc.SLineGraphs(context.Background(), "nope", []int{2}, core.PipelineConfig{}); err == nil {
+	if _, _, err := lineGraphs(svc, context.Background(), "nope", []int{2}, core.PipelineConfig{}); err == nil {
 		t.Fatal("want error for unknown dataset")
 	}
 }
@@ -100,7 +100,7 @@ func TestBatchRejectsBadInput(t *testing.T) {
 func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	base, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
+	base, _, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 		{Core: core.Config{Algorithm: core.AlgoSetIntersection, DisableShortCircuit: true}},
 	}
 	for _, cfg := range equivalent {
-		res, hit, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
+		res, hit, err := lineGraph(svc, context.Background(), "h", 2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	}
 	// Short-circuited Algorithm 1 is a different output class and must
 	// not be served the exact-class entry.
-	sc, hit, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{
+	sc, hit, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{
 		Core: core.Config{Algorithm: core.AlgoSetIntersection},
 	})
 	if err != nil {
@@ -147,7 +147,7 @@ func TestSpGEMMWarmupSeedsDefaultQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sVal := range []int{1, 2, 3} {
-		res, hit, err := svc.SLineGraph(context.Background(), "rand", sVal, core.PipelineConfig{})
+		res, hit, err := lineGraph(svc, context.Background(), "rand", sVal, core.PipelineConfig{})
 		if err != nil || !hit {
 			t.Fatalf("s=%d: default query after SpGEMM warmup: hit=%v err=%v", sVal, hit, err)
 		}
@@ -176,7 +176,7 @@ func TestConcurrentIdenticalBatches(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			results, _, err := svc.SLineGraphs(context.Background(), "rand", sweep, core.PipelineConfig{})
+			results, _, err := lineGraphs(svc, context.Background(), "rand", sweep, core.PipelineConfig{})
 			if err != nil {
 				t.Error(err)
 				return

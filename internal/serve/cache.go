@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"hyperline/internal/core"
@@ -22,25 +23,33 @@ type CacheStats struct {
 	DiskMisses int64 `json:"disk_misses,omitempty"`
 }
 
-type cacheEntry[V any] struct {
-	key string
+// cacheKey is what an lru is keyed by: a comparable value whose
+// String form names its spill file.
+type cacheKey interface {
+	comparable
+	fmt.Stringer
+}
+
+type cacheEntry[K cacheKey, V any] struct {
+	key K
 	val V
 }
 
 // lru is the thread-safe LRU core shared by the pipeline-result cache
-// and the measure cache. Values are shared by reference — cached
-// objects are immutable by convention, so all readers see the same
-// object.
+// and the measure cache, keyed by comparable key values. Values are
+// shared by reference — cached objects are immutable by convention, so
+// all readers see the same object.
 //
 // With a spill store attached (setSpill), evicted entries serialize to
 // disk and Get probes the disk tier after a memory miss, so the memory
 // capacity bounds the hot set while the disk budget bounds the total
-// retained set. All spill IO happens outside the lock.
-type lru[V any] struct {
+// retained set. The spill tier names entries by the key's String form.
+// All spill IO happens outside the lock.
+type lru[K cacheKey, V any] struct {
 	mu       sync.Mutex
 	capacity int
 	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
+	entries  map[K]*list.Element
 
 	hits      int64
 	misses    int64
@@ -53,18 +62,18 @@ type lru[V any] struct {
 	diskMisses int64
 }
 
-func newLRU[V any](capacity int) *lru[V] {
-	return &lru[V]{
+func newLRU[K cacheKey, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
 		capacity: capacity,
 		order:    list.New(),
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[K]*list.Element),
 	}
 }
 
 // setSpill attaches the disk tier: evictions encode to store, and Get
 // probes store after a memory miss. Must be called before the cache is
 // shared across goroutines.
-func (c *lru[V]) setSpill(store *spillStore, encode func(V) ([]byte, error), decode func([]byte) (V, error)) {
+func (c *lru[K, V]) setSpill(store *spillStore, encode func(V) ([]byte, error), decode func([]byte) (V, error)) {
 	c.spill = store
 	c.encode = encode
 	c.decode = decode
@@ -74,12 +83,12 @@ func (c *lru[V]) setSpill(store *spillStore, encode func(V) ([]byte, error), dec
 // used. After a memory miss it probes the spill store (when attached):
 // a disk hit decodes, repopulates the memory tier, and still reports
 // ok=true — callers never observe the tiering, only the stats do.
-func (c *lru[V]) Get(key string) (V, bool) {
+func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.order.MoveToFront(el)
-		val := el.Value.(*cacheEntry[V]).val
+		val := el.Value.(*cacheEntry[K, V]).val
 		c.mu.Unlock()
 		return val, true
 	}
@@ -91,7 +100,7 @@ func (c *lru[V]) Get(key string) (V, bool) {
 	if spill == nil {
 		return zero, false
 	}
-	payload, ok := spill.Get(key)
+	payload, ok := spill.Get(key.String())
 	if !ok {
 		c.addDiskResult(false)
 		return zero, false
@@ -109,7 +118,7 @@ func (c *lru[V]) Get(key string) (V, bool) {
 }
 
 // addDiskResult records the outcome of one spill probe.
-func (c *lru[V]) addDiskResult(hit bool) {
+func (c *lru[K, V]) addDiskResult(hit bool) {
 	c.mu.Lock()
 	if hit {
 		c.diskHits++
@@ -122,20 +131,20 @@ func (c *lru[V]) addDiskResult(hit bool) {
 // Put inserts (or refreshes) a value, evicting the least recently used
 // entries when over capacity. With a spill store attached, evicted
 // entries serialize to disk (outside the lock) instead of vanishing.
-func (c *lru[V]) Put(key string, val V) {
+func (c *lru[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry[V]).val = val
+		el.Value.(*cacheEntry[K, V]).val = val
 		c.order.MoveToFront(el)
 		c.mu.Unlock()
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry[V]{key: key, val: val})
-	var spilled []*cacheEntry[V]
+	c.entries[key] = c.order.PushFront(&cacheEntry[K, V]{key: key, val: val})
+	var spilled []*cacheEntry[K, V]
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		ent := oldest.Value.(*cacheEntry[V])
+		ent := oldest.Value.(*cacheEntry[K, V])
 		delete(c.entries, ent.key)
 		c.evictions++
 		if c.spill != nil {
@@ -146,7 +155,7 @@ func (c *lru[V]) Put(key string, val V) {
 	c.mu.Unlock()
 	for _, ent := range spilled {
 		if data, err := c.encode(ent.val); err == nil {
-			spill.Put(ent.key, data)
+			spill.Put(ent.key.String(), data)
 		}
 	}
 }
@@ -155,21 +164,21 @@ func (c *lru[V]) Put(key string, val V) {
 // (least recently used first, so recency survives the round trip) —
 // the warm-start path: a snapshotting shutdown flushes, and the next
 // boot's memory misses land as disk hits.
-func (c *lru[V]) flushToSpill() {
+func (c *lru[K, V]) flushToSpill() {
 	c.mu.Lock()
 	spill := c.spill
 	if spill == nil {
 		c.mu.Unlock()
 		return
 	}
-	ents := make([]*cacheEntry[V], 0, c.order.Len())
+	ents := make([]*cacheEntry[K, V], 0, c.order.Len())
 	for el := c.order.Back(); el != nil; el = el.Prev() {
-		ents = append(ents, el.Value.(*cacheEntry[V]))
+		ents = append(ents, el.Value.(*cacheEntry[K, V]))
 	}
 	c.mu.Unlock()
 	for _, ent := range ents {
 		if data, err := c.encode(ent.val); err == nil {
-			spill.Put(ent.key, data)
+			spill.Put(ent.key.String(), data)
 		}
 	}
 }
@@ -178,12 +187,12 @@ func (c *lru[V]) flushToSpill() {
 // first). The ingest walk iterates this snapshot — entries added or
 // evicted concurrently are simply not visited, which is safe because
 // old-version keys are unreachable by queries either way.
-func (c *lru[V]) Keys() []string {
+func (c *lru[K, V]) Keys() []K {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.order.Len())
+	out := make([]K, 0, c.order.Len())
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry[V]).key)
+		out = append(out, el.Value.(*cacheEntry[K, V]).key)
 	}
 	return out
 }
@@ -191,32 +200,32 @@ func (c *lru[V]) Keys() []string {
 // Remove drops one entry from the memory tier (and the spill tier, when
 // attached), returning the removed value. Unlike eviction, a removed
 // entry does not spill: removal means the value is invalid, not cold.
-func (c *lru[V]) Remove(key string) (V, bool) {
+func (c *lru[K, V]) Remove(key K) (V, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	var val V
 	if ok {
 		c.order.Remove(el)
 		delete(c.entries, key)
-		val = el.Value.(*cacheEntry[V]).val
+		val = el.Value.(*cacheEntry[K, V]).val
 	}
 	spill := c.spill
 	c.mu.Unlock()
 	if spill != nil {
-		spill.Remove(key)
+		spill.Remove(key.String())
 	}
 	return val, ok
 }
 
 // Len returns the current number of cached values.
-func (c *lru[V]) Len() int {
+func (c *lru[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
 // Stats snapshots hit/miss/eviction counters.
-func (c *lru[V]) Stats() CacheStats {
+func (c *lru[K, V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
@@ -235,8 +244,10 @@ func (c *lru[V]) Stats() CacheStats {
 const DefaultCacheEntries = 128
 
 // Cache is a thread-safe LRU of pipeline results keyed by
-// (dataset, version, orientation, s, options-fingerprint) strings.
-type Cache struct{ lru[*core.PipelineResult] }
+// (dataset, version, orientation, s, options-fingerprint).
+type Cache struct {
+	lru[projKey, *core.PipelineResult]
+}
 
 // NewCache returns an LRU cache holding up to capacity results
 // (DefaultCacheEntries if capacity <= 0).
@@ -244,7 +255,7 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &Cache{*newLRU[*core.PipelineResult](capacity)}
+	return &Cache{*newLRU[projKey, *core.PipelineResult](capacity)}
 }
 
 // DefaultMeasureCacheEntries is the measure LRU capacity when none is
@@ -288,10 +299,10 @@ func NewMeasureEntry(res *core.PipelineResult, val *measure.Value) *MeasureEntry
 
 // MeasureCache is a thread-safe LRU of measure entries keyed by
 // (dataset, version, orientation, s, options-fingerprint, measure,
-// canonical-params) strings — the pipeline key extended by the measure
+// canonical-params) — the pipeline key extended by the measure
 // identity, so it can only hit where the underlying projection key
 // would.
-type MeasureCache struct{ lru[*MeasureEntry] }
+type MeasureCache struct{ lru[measureKey, *MeasureEntry] }
 
 // NewMeasureCache returns an LRU cache holding up to capacity measure
 // entries (DefaultMeasureCacheEntries if capacity <= 0).
@@ -299,5 +310,5 @@ func NewMeasureCache(capacity int) *MeasureCache {
 	if capacity <= 0 {
 		capacity = DefaultMeasureCacheEntries
 	}
-	return &MeasureCache{*newLRU[*MeasureEntry](capacity)}
+	return &MeasureCache{*newLRU[measureKey, *MeasureEntry](capacity)}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,19 +12,22 @@ import (
 
 func res(s int) *core.PipelineResult { return &core.PipelineResult{S: s} }
 
+// pk is a projection key that differs from others only by dataset name.
+func pk(name string) projKey { return projKey{Dataset: name} }
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", res(1))
-	c.Put("b", res(2))
-	if _, ok := c.Get("a"); !ok { // promotes a
+	c.Put(pk("a"), res(1))
+	c.Put(pk("b"), res(2))
+	if _, ok := c.Get(pk("a")); !ok { // promotes a
 		t.Fatal("a must be cached")
 	}
-	c.Put("c", res(3)) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
+	c.Put(pk("c"), res(3)) // evicts b (least recently used)
+	if _, ok := c.Get(pk("b")); ok {
 		t.Fatal("b must have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get(pk(k)); !ok {
 			t.Fatalf("%s must survive", k)
 		}
 	}
@@ -37,12 +39,12 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", res(1))
-	c.Put("a", res(9))
+	c.Put(pk("a"), res(1))
+	c.Put(pk("a"), res(9))
 	if c.Len() != 1 {
 		t.Fatalf("want 1 entry, got %d", c.Len())
 	}
-	got, _ := c.Get("a")
+	got, _ := c.Get(pk("a"))
 	if got.S != 9 {
 		t.Fatalf("want refreshed value, got S=%d", got.S)
 	}
@@ -62,7 +64,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("k%d", (g+i)%24)
+				k := projKey{Dataset: "k", S: (g + i) % 24}
 				if _, ok := c.Get(k); !ok {
 					c.Put(k, res(i))
 				}

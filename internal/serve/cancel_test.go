@@ -154,7 +154,7 @@ func TestProjectionCancelReturnsCtxErr(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		_, _, err := svc.SLineGraph(ctx, "slow", 2, core.PipelineConfig{})
+		_, _, err := lineGraph(svc, ctx, "slow", 2, core.PipelineConfig{})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("run %d: got %v, want context.DeadlineExceeded", i, err)
@@ -179,14 +179,14 @@ func TestCancelledMeasureDoesNotCount(t *testing.T) {
 	// Dead on arrival: no flight, no projection, no compute.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.Measure(dead, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.Canceled) {
+	if _, err := measureAt(svc, dead, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// Cancelled during the projection batch: the measure stage is
 	// never reached.
 	ctx, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel2()
-	if _, err := svc.Measure(ctx, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := measureAt(svc, ctx, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 	if got := svc.MeasureCacheStats().Computes; got != 0 {
@@ -194,7 +194,7 @@ func TestCancelledMeasureDoesNotCount(t *testing.T) {
 	}
 
 	// Sanity: a live request does count.
-	if _, err := svc.Measure(context.Background(), "slow", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
+	if _, err := measureAt(svc, context.Background(), "slow", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.MeasureCacheStats().Computes; got != 1 {
@@ -321,27 +321,20 @@ func TestQueryPerSErrors(t *testing.T) {
 	}
 }
 
-// TestQueryV2MatchesV1 pins the v2 surface to the v1 projection
-// output: same nodes, edges, and cached flags through both routes.
-func TestQueryV2MatchesV1(t *testing.T) {
+// TestQueryV2SharesServiceCache pins POST /v2/query to the in-process
+// Service.Query it wraps: the same nodes, edges, and edge list, served
+// from the entry the library call cached, with the executed plan.
+func TestQueryV2SharesServiceCache(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("p", paperExample())
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	v1, err := http.Get(srv.URL + "/v1/datasets/p/slinegraph?s=2")
+	lib, err := svc.Query(context.Background(), QueryRequest{Dataset: "p", S: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Body.Close()
-	var v1out struct {
-		Nodes    int         `json:"nodes"`
-		Edges    int         `json:"edges"`
-		EdgeList [][3]uint32 `json:"edge_list"`
-	}
-	if err := json.NewDecoder(v1.Body).Decode(&v1out); err != nil {
-		t.Fatal(err)
-	}
+	want := lib.Entries[0].Res
 
 	body, _ := json.Marshal(map[string]any{"dataset": "p", "s": []int{2}, "edges": true})
 	v2, err := http.Post(srv.URL+"/v2/query", "application/json", bytes.NewReader(body))
@@ -366,11 +359,11 @@ func TestQueryV2MatchesV1(t *testing.T) {
 		t.Fatalf("want 1 result, got %d", len(v2out.Results))
 	}
 	r := v2out.Results[0]
-	if r.Nodes != v1out.Nodes || r.Edges != v1out.Edges || fmt.Sprint(r.EdgeList) != fmt.Sprint(v1out.EdgeList) {
-		t.Fatalf("v2 projection diverged from v1: v1=%+v v2=%+v", v1out, r)
+	if r.Nodes != want.Graph.NumNodes() || r.Edges != want.Graph.NumEdges() || fmt.Sprint(r.EdgeList) != fmt.Sprint(edgeList(want)) {
+		t.Fatalf("v2 projection diverged from Service.Query: %+v", r)
 	}
 	if !r.Cached {
-		t.Fatal("second query over the same key must report cached=true")
+		t.Fatal("v2 query after the library query must report cached=true")
 	}
 	if v2out.Plan == nil || v2out.Plan.Strategy == "" {
 		t.Fatal("v2 response must carry the executed plan")

@@ -60,7 +60,7 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 	ref := func(h *hg.Hypergraph) (nodes, edges int) {
 		s := New(Config{})
 		s.Add("ref", h)
-		res, _, err := s.SLineGraph(context.Background(), "ref", 2, core.PipelineConfig{})
+		res, _, err := lineGraph(s, context.Background(), "ref", 2, core.PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		r, _, err := svc.SLineGraph(context.Background(), "d", 2, core.PipelineConfig{})
+		r, _, err := lineGraph(svc, context.Background(), "d", 2, core.PipelineConfig{})
 		if err != nil {
 			res <- outcome{err: err}
 			return
@@ -99,7 +99,7 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 
 	// Post-replacement queries must see only the new version — a cache
 	// or flight keyed without the version would serve the stale graph.
-	r, _, err := svc.SLineGraph(context.Background(), "d", 2, core.PipelineConfig{})
+	r, _, err := lineGraph(svc, context.Background(), "d", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFaultCancelStorm(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(10+i)*time.Millisecond)
 			defer cancel()
-			_, _, errs[i] = svc.SLineGraph(ctx, "slow", 2, core.PipelineConfig{})
+			_, _, errs[i] = lineGraph(svc, ctx, "slow", 2, core.PipelineConfig{})
 		}(i)
 	}
 	wg.Wait()
@@ -142,7 +142,7 @@ func TestFaultCancelStorm(t *testing.T) {
 
 	// The flight key must be free: a live caller gets a fresh, correct
 	// run (bounded only by the test timeout).
-	r, cached, err := svc.SLineGraph(context.Background(), "slow", 2, core.PipelineConfig{})
+	r, cached, err := lineGraph(svc, context.Background(), "slow", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatalf("fresh query after the storm: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestFaultTinyLRUChurn(t *testing.T) {
 	refSvc := New(Config{})
 	refSvc.Add("p", paperExample())
 	for s := 1; s <= 4; s++ {
-		r, _, err := refSvc.SLineGraph(context.Background(), "p", s, core.PipelineConfig{})
+		r, _, err := lineGraph(refSvc, context.Background(), "p", s, core.PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestFaultTinyLRUChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				s := 1 + (w+i)%4
-				r, _, err := svc.SLineGraph(context.Background(), "p", s, core.PipelineConfig{})
+				r, _, err := lineGraph(svc, context.Background(), "p", s, core.PipelineConfig{})
 				if err != nil {
 					t.Errorf("churn query s=%d: %v", s, err)
 					return

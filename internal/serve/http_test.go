@@ -126,32 +126,38 @@ func TestHTTPServerSideLoad(t *testing.T) {
 		strings.NewReader(`{"path": "/no/such/file.hgr"}`), http.StatusBadRequest, nil)
 }
 
-type graphJSON struct {
-	Cached       bool        `json:"cached"`
-	Nodes        int         `json:"nodes"`
-	Edges        int         `json:"edges"`
-	HyperedgeIDs []uint32    `json:"hyperedge_ids"`
-	EdgeList     [][3]uint32 `json:"edge_list"`
+// postQuery posts one /v2/query body, asserts the status, and decodes
+// the response.
+func postQuery(t *testing.T, ts *httptest.Server, body string, wantStatus int) queryResponseJSON {
+	t.Helper()
+	var out queryResponseJSON
+	do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(body), wantStatus, &out)
+	return out
+}
+
+// edgeList renders a projection's edges in the wire form.
+func edgeList(res *core.PipelineResult) [][3]uint32 {
+	out := make([][3]uint32, 0, res.Graph.NumEdges())
+	for _, e := range res.Graph.Edges() {
+		out = append(out, [3]uint32{e.U, e.V, e.W})
+	}
+	return out
 }
 
 func TestHTTPSLineGraphCachesAndMatchesLibrary(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var first, second graphJSON
-	url := ts.URL + "/v1/datasets/paper/slinegraph?s=2"
-	do(t, http.MethodGet, url, nil, http.StatusOK, &first)
-	do(t, http.MethodGet, url, nil, http.StatusOK, &second)
+	body := `{"dataset":"paper","s":[2],"edges":true}`
+	first := postQuery(t, ts, body, http.StatusOK).Results[0]
+	second := postQuery(t, ts, body, http.StatusOK).Results[0]
 	if first.Cached || !second.Cached {
 		t.Fatalf("cached flags: first=%v second=%v, want false,true", first.Cached, second.Cached)
 	}
 
 	direct, _ := core.Run(context.Background(), paperExample(), 2, core.PipelineConfig{})
-	wantEdges := make([][3]uint32, 0, direct.Graph.NumEdges())
-	for _, e := range direct.Graph.Edges() {
-		wantEdges = append(wantEdges, [3]uint32{e.U, e.V, e.W})
-	}
-	for _, got := range []graphJSON{first, second} {
+	wantEdges := edgeList(direct)
+	for _, got := range []queryEntryJSON{first, second} {
 		if !reflect.DeepEqual(got.EdgeList, wantEdges) {
 			t.Fatalf("served edge list %v differs from library call %v", got.EdgeList, wantEdges)
 		}
@@ -160,30 +166,28 @@ func TestHTTPSLineGraphCachesAndMatchesLibrary(t *testing.T) {
 		}
 	}
 
-	// edges=false omits the edge list but keeps the counts.
-	var lean graphJSON
-	do(t, http.MethodGet, url+"&edges=false", nil, http.StatusOK, &lean)
+	// Without "edges" the edge list is omitted but the counts stay.
+	lean := postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK).Results[0]
 	if lean.EdgeList != nil || lean.Edges != len(wantEdges) {
-		t.Fatalf("edges=false: got %+v", lean)
+		t.Fatalf("edges omitted: got %+v", lean)
 	}
 
 	// Bad requests.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=0", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2&config=9ZZ", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/nope/slinegraph?s=2", nil, http.StatusNotFound, nil)
+	postQuery(t, ts, `{"dataset":"paper"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","s":[0]}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"config":"9ZZ"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"nope","s":[2]}`, http.StatusNotFound)
 }
 
 func TestHTTPSCliqueGraph(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
-	var got graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/scliquegraph?s=1&nosqueeze=true",
-		nil, http.StatusOK, &got)
+	resp := postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1],"nosqueeze":true}`, http.StatusOK)
+	got := resp.Results[0]
 	direct, _ := core.Run(context.Background(), paperExample().Dual(), 1, core.PipelineConfig{NoSqueeze: true})
-	if got.Edges != direct.Graph.NumEdges() || got.Nodes != direct.Graph.NumNodes() {
+	if resp.Kind != "clique" || got.Edges != direct.Graph.NumEdges() || got.Nodes != direct.Graph.NumNodes() {
 		t.Fatalf("clique graph %+v differs from direct dual run (%d nodes %d edges)",
-			got, direct.Graph.NumNodes(), direct.Graph.NumEdges())
+			resp, direct.Graph.NumNodes(), direct.Graph.NumEdges())
 	}
 }
 
@@ -199,9 +203,7 @@ func TestHTTPWarmupThenHit(t *testing.T) {
 	if warm.Computed != 3 || warm.AlreadyHot != 0 {
 		t.Fatalf("warmup: %+v", warm)
 	}
-	var got graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=3", nil, http.StatusOK, &got)
-	if !got.Cached {
+	if got := postQuery(t, ts, `{"dataset":"paper","s":[3]}`, http.StatusOK).Results[0]; !got.Cached {
 		t.Fatal("query after warmup must be served from cache")
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
@@ -213,10 +215,7 @@ func TestHTTPWarmupThenHit(t *testing.T) {
 	if warm.Computed != 1 {
 		t.Fatalf("nosqueeze warmup: %+v", warm)
 	}
-	var ns graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2&nosqueeze=true",
-		nil, http.StatusOK, &ns)
-	if !ns.Cached {
+	if ns := postQuery(t, ts, `{"dataset":"paper","s":[2],"nosqueeze":true}`, http.StatusOK).Results[0]; !ns.Cached {
 		t.Fatal("nosqueeze query after nosqueeze warmup must hit the cache")
 	}
 
@@ -234,21 +233,12 @@ func TestHTTPBatchProjections(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var batch struct {
-		Dataset string `json:"dataset"`
-		Dual    bool   `json:"dual"`
-		Results []struct {
-			graphJSON
-			S    int `json:"s"`
-			Plan struct {
-				Strategy string `json:"strategy"`
-				Reason   string `json:"reason"`
-			} `json:"plan"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1:3", nil, http.StatusOK, &batch)
+	batch := postQuery(t, ts, `{"dataset":"paper","s":"1:3"}`, http.StatusOK)
 	if len(batch.Results) != 3 {
 		t.Fatalf("want 3 results for s=1:3, got %d", len(batch.Results))
+	}
+	if batch.Plan == nil || batch.Plan.Strategy == "" {
+		t.Fatal("missing plan info")
 	}
 	for i, got := range batch.Results {
 		if got.S != i+1 {
@@ -258,30 +248,26 @@ func TestHTTPBatchProjections(t *testing.T) {
 		if got.Edges != direct.Graph.NumEdges() {
 			t.Fatalf("s=%d: %d edges, want %d", got.S, got.Edges, direct.Graph.NumEdges())
 		}
-		if got.Plan.Strategy == "" {
-			t.Fatalf("s=%d: missing plan info", got.S)
-		}
 	}
 
 	// The batch seeded the per-s cache: single queries hit.
-	var single graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, &single)
-	if !single.Cached {
+	if single := postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK).Results[0]; !single.Cached {
 		t.Fatal("single query after batch must be served from cache")
 	}
 
 	// Mixed list + range forms, and the dual orientation.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1,2:3", nil, http.StatusOK, &batch)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/scliquegraphs?s=1,2", nil, http.StatusOK, &batch)
-	if !batch.Dual || len(batch.Results) != 2 {
-		t.Fatalf("scliquegraphs: %+v", batch)
+	postQuery(t, ts, `{"dataset":"paper","s":"1,2:3"}`, http.StatusOK)
+	cliques := postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":"1,2"}`, http.StatusOK)
+	if cliques.Kind != "clique" || len(cliques.Results) != 2 {
+		t.Fatalf("clique sweep: %+v", cliques)
 	}
 
 	// Bad requests.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=0", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=5:2", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/nope/slinegraphs?s=1", nil, http.StatusNotFound, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":""}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","s":"0"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","s":"5:2"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","kind":"hyper","s":"1"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"nope","s":"1"}`, http.StatusNotFound)
 }
 
 func TestHTTPWarmupSListString(t *testing.T) {
@@ -296,20 +282,20 @@ func TestHTTPWarmupSListString(t *testing.T) {
 	if warm.Computed != 3 || warm.AlreadyHot != 0 {
 		t.Fatalf("s-list warmup: %+v", warm)
 	}
-	for _, sVal := range []string{"1", "3", "4"} {
-		var got graphJSON
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s="+sVal, nil, http.StatusOK, &got)
+	for _, got := range postQuery(t, ts, `{"dataset":"paper","s":[1,3,4]}`, http.StatusOK).Results {
 		if !got.Cached {
-			t.Fatalf("s=%s: query after s-list warmup must hit", sVal)
+			t.Fatalf("s=%d: query after s-list warmup must hit", got.S)
 		}
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
 		strings.NewReader(`{"s": "nope"}`), http.StatusBadRequest, nil)
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
 		strings.NewReader(`{"s": true}`), http.StatusBadRequest, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
+		strings.NewReader(`{"s": [2], "workers": -1}`), http.StatusBadRequest, nil)
 
-	// Oversized requests are rejected in both body forms and on the
-	// batch endpoints.
+	// Oversized requests are rejected in both body forms, on warmup
+	// and on queries.
 	big := make([]byte, 0, 1<<16)
 	big = append(big, `{"s": [`...)
 	for i := 1; i <= core.MaxSValues+1; i++ {
@@ -323,66 +309,91 @@ func TestHTTPWarmupSListString(t *testing.T) {
 		strings.NewReader(string(big)), http.StatusBadRequest, nil)
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
 		strings.NewReader(`{"s": "1:1000,2000:3000"}`), http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1:1000,2000:3000",
-		nil, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":"1:1000,2000:3000"}`, http.StatusBadRequest)
 }
 
 func TestHTTPMeasures(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var comp struct {
-		Cached bool `json:"cached"`
-		Result struct {
-			Count   int        `json:"count"`
-			Members [][]uint32 `json:"members"`
-		} `json:"result"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/components?s=2", nil, http.StatusOK, &comp)
+	comp := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"components"}`, http.StatusOK).Results[0]
 	// At s=2, hyperedges {0,1,2} form one component; hyperedge 3 has no
 	// 2-incident partner and is squeezed out.
-	if comp.Result.Count != 1 || !reflect.DeepEqual(comp.Result.Members, [][]uint32{{0, 1, 2}}) {
-		t.Fatalf("components: %+v", comp.Result)
+	if comp.Value == nil || comp.Value.Scalar == nil || *comp.Value.Scalar != 1 ||
+		!reflect.DeepEqual(comp.Value.Groups, [][]uint32{{0, 1, 2}}) {
+		t.Fatalf("components: %+v", comp)
 	}
 
-	var dist struct {
-		Result struct {
-			HyperedgeIDs []uint32 `json:"hyperedge_ids"`
-			Distances    []int32  `json:"distances"`
-		} `json:"result"`
+	dist := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances","params":{"source":"0"}}`, http.StatusOK).Results[0]
+	if dist.Value == nil || !reflect.DeepEqual(dist.Value.Ints, []int32{0, 1, 1}) ||
+		!reflect.DeepEqual(dist.HyperedgeIDs, []uint32{0, 1, 2}) {
+		t.Fatalf("distances: %+v", dist)
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2&source=0", nil, http.StatusOK, &dist)
-	if !reflect.DeepEqual(dist.Result.Distances, []int32{0, 1, 1}) {
-		t.Fatalf("distances: %+v", dist.Result)
+	// Hyperedge 3 has no node at s=2: a per-s failure, and with every
+	// entry failed the request fails as a whole.
+	if got := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances","params":{"source":"3"}}`, http.StatusBadGateway).Results[0]; got.Error == "" {
+		t.Fatal("distances from a squeezed-out source must report a per-s error")
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2&source=3", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2", nil, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances"}`, http.StatusBadRequest)
 
-	for _, kind := range []string{"betweenness", "closeness", "harmonic", "pagerank"} {
-		var cent struct {
-			Result struct {
-				Kind   string    `json:"kind"`
-				Scores []float64 `json:"scores"`
-			} `json:"result"`
-		}
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind="+kind,
-			nil, http.StatusOK, &cent)
-		if cent.Result.Kind != kind || len(cent.Result.Scores) != 3 {
-			t.Fatalf("centrality %s: %+v", kind, cent.Result)
+	for _, name := range []string{"betweenness", "closeness", "harmonic", "pagerank"} {
+		got := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"`+name+`"}`, http.StatusOK).Results[0]
+		if got.Value == nil || len(got.Value.Scores) != 3 {
+			t.Fatalf("centrality %s: %+v", name, got)
 		}
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=nope", nil, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"nope"}`, http.StatusBadRequest)
 
-	var conn struct {
-		Result struct {
-			Value float64 `json:"normalized_algebraic_connectivity"`
-		} `json:"result"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/connectivity?s=2", nil, http.StatusOK, &conn)
-	if conn.Result.Value <= 0 {
-		t.Fatalf("connectivity of a connected triangle must be positive, got %v", conn.Result.Value)
+	conn := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"connectivity"}`, http.StatusOK).Results[0]
+	if conn.Value == nil || conn.Value.Scalar == nil || *conn.Value.Scalar <= 0 {
+		t.Fatalf("connectivity of a connected triangle must be positive, got %+v", conn)
 	}
 
 	// dual measures work too
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/components?s=1&dual=true", nil, http.StatusOK, nil)
+	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1],"measure":"components"}`, http.StatusOK)
+}
+
+// oversizedBody is valid JSON one pad byte past MaxRequestBytes.
+func oversizedBody(prefix string) string {
+	return prefix + `"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`
+}
+
+// TestQueryBodyBounded: a /v2/query body past MaxRequestBytes answers
+// 413 without touching the pipeline, while a body just under it still
+// answers.
+func TestQueryBodyBounded(t *testing.T) {
+	ts, svc := newTestServer(t)
+	uploadPaper(t, ts)
+	do(t, http.MethodPost, ts.URL+"/v2/query",
+		strings.NewReader(oversizedBody(`{"dataset":"paper","s":[2],`)), http.StatusRequestEntityTooLarge, nil)
+	if st := svc.CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("an oversized body reached the cache: %+v", st)
+	}
+	under := `{"dataset":"paper","s":[2],"pad":"` + strings.Repeat("x", MaxRequestBytes-100) + `"}`
+	postQuery(t, ts, under, http.StatusOK)
+}
+
+// TestWarmupBodyBounded: the warmup body shares the bound.
+func TestWarmupBodyBounded(t *testing.T) {
+	ts, svc := newTestServer(t)
+	uploadPaper(t, ts)
+	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
+		strings.NewReader(oversizedBody(`{"s":[2],`)), http.StatusRequestEntityTooLarge, nil)
+	if st := svc.CacheStats(); st.Entries != 0 {
+		t.Fatalf("an oversized warmup computed: %+v", st)
+	}
+}
+
+// TestLoadBodyBounded: the server-side load body shares the bound.
+func TestLoadBodyBounded(t *testing.T) {
+	ts, svc := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "h.bin")
+	if err := hgio.SaveFile(path, paperExample()); err != nil {
+		t.Fatal(err)
+	}
+	do(t, http.MethodPost, ts.URL+"/v1/datasets/disk/load",
+		strings.NewReader(oversizedBody(fmt.Sprintf(`{"path":%q,`, path))), http.StatusRequestEntityTooLarge, nil)
+	if len(svc.Datasets()) != 0 {
+		t.Fatal("an oversized load body registered a dataset")
+	}
 }

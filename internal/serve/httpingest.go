@@ -37,7 +37,7 @@ const maxIngestBytes = 1 << 30
 func handleIngest(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req ingestRequestJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad /v2/ingest body: %w", err))
+		writeError(w, BodyStatus(err), fmt.Errorf("serve: bad /v2/ingest body: %w", err))
 		return
 	}
 	if req.Dataset == "" {

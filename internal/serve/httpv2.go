@@ -22,17 +22,45 @@ type queryRequestJSON struct {
 	S         json.RawMessage   `json:"s"`
 	Measure   string            `json:"measure,omitempty"`
 	Params    map[string]string `json:"params,omitempty"`
-	Config    string            `json:"config,omitempty"`
-	Workers   int               `json:"workers,omitempty"`
-	Toplex    toplexJSON        `json:"toplex,omitempty"`
-	NoSqueeze bool              `json:"nosqueeze,omitempty"`
-	Exact     bool              `json:"exact,omitempty"`
 	Edges     bool              `json:"edges,omitempty"`
 	TimeoutMS int               `json:"timeout_ms,omitempty"`
 	// Priority is "interactive" (default) or "background": background
 	// queries are shed instead of queued when admission control is
 	// saturated, so bulk cache-seeding traffic yields to users.
 	Priority string `json:"priority,omitempty"`
+	optionsJSON
+}
+
+// optionsJSON holds the pipeline option fields shared by the
+// POST /v2/query and warmup bodies. "config" is Table III notation,
+// extended with "3", "A"/"auto", "S"/"spgemm", and '*' for a
+// planner-chosen relabel order.
+type optionsJSON struct {
+	Config    string     `json:"config,omitempty"`
+	Workers   int        `json:"workers,omitempty"`
+	Toplex    toplexJSON `json:"toplex,omitempty"`
+	NoSqueeze bool       `json:"nosqueeze,omitempty"`
+	Exact     bool       `json:"exact,omitempty"`
+}
+
+// pipeline builds the pipeline configuration the options describe.
+func (o optionsJSON) pipeline() (core.PipelineConfig, error) {
+	var cfg core.PipelineConfig
+	if o.Config != "" {
+		c, err := core.ParseNotation(o.Config)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Core = c
+	}
+	if o.Workers < 0 {
+		return cfg, fmt.Errorf("serve: bad workers %d", o.Workers)
+	}
+	cfg.Core.Workers = clampWorkers(o.Workers)
+	cfg.Toplex = o.Toplex.mode
+	cfg.NoSqueeze = o.NoSqueeze
+	cfg.Core.DisableShortCircuit = o.Exact
+	return cfg, nil
 }
 
 // toplexJSON accepts the two JSON spellings of the toplex knob: a
@@ -86,13 +114,13 @@ type queryResponseJSON struct {
 
 // handleQueryV2 serves POST /v2/query: one JSON Query in, ordered
 // per-s entries (with per-s errors), the executed plan, and stage
-// timings out. Unlike the v1 GET endpoints, edge lists are opt-in
-// ("edges": true) — the default response carries the projection shape,
-// mapping, and measure value only.
+// timings out. Edge lists are opt-in ("edges": true) — the default
+// response carries the projection shape, mapping, and measure value
+// only.
 func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req queryRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad /v2/query body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		writeError(w, BodyStatus(err), fmt.Errorf("serve: bad /v2/query body: %w", err))
 		return
 	}
 	if req.Dataset == "" {
@@ -118,23 +146,11 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var cfg core.PipelineConfig
-	if req.Config != "" {
-		c, err := core.ParseNotation(req.Config)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		cfg.Core = c
-	}
-	cfg.Toplex = req.Toplex.mode
-	cfg.NoSqueeze = req.NoSqueeze
-	cfg.Core.DisableShortCircuit = req.Exact
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad workers %d", req.Workers))
+	cfg, err := req.pipeline()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg.Core.Workers = clampWorkers(req.Workers)
 	var pri Priority
 	switch req.Priority {
 	case "", "interactive":

@@ -92,7 +92,7 @@ func TestQuotaShedCarriesRetryAfter(t *testing.T) {
 	for _, probe := range []struct {
 		method, url, body string
 	}{
-		{http.MethodGet, ts.URL + "/v1/datasets/paper/slinegraph?s=2", ""},
+		{http.MethodPost, ts.URL + "/v1/datasets/paper/warmup", `{"s":[2]}`},
 		{http.MethodPost, ts.URL + "/v2/query", `{"dataset":"paper","s":[2]}`},
 	} {
 		req, err := http.NewRequest(probe.method, probe.url, strings.NewReader(probe.body))

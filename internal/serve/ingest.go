@@ -3,13 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
-	"hyperline/internal/hg"
 )
 
 // This file is the serving half of streaming ingest: applying a delta
@@ -112,35 +109,30 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Policy:          s.deltaPolicy,
 	}
 
-	oldPrefix := fmt.Sprintf("%s@%d/", name, oldV)
-	newPrefix := fmt.Sprintf("%s@%d/", name, newV)
 	nd, _ := s.reg.at(name, newV) // nil after a concurrent replacement: treat everything as drop
 
 	for _, k := range s.cache.Keys() {
-		rest, ok := strings.CutPrefix(k, oldPrefix)
-		if !ok {
+		if k.Dataset != name || k.Version != oldV {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			break
 		}
-		attrs, parsed := parseProjKeyRest(rest)
+		attrs, patchable := k.attrs()
 		action := delta.ActionDrop
-		var old *core.PipelineResult
-		if parsed && nd != nil && s.deltaPolicy == DeltaPolicyPatch {
-			if old, ok = s.cache.Remove(k); ok {
-				action = p.Plan(attrs, old.Graph.NumEdges(),
-					nd.statsFor(attrs.Dual).WedgePairs, anyCalibrated(nd.costsFor(attrs.Dual)))
-			}
-		} else {
-			_, ok = s.cache.Remove(k)
-		}
+		old, ok := s.cache.Remove(k)
 		if !ok {
 			continue // evicted between the snapshot and the walk
 		}
+		if patchable && nd != nil && s.deltaPolicy == DeltaPolicyPatch {
+			action = p.Plan(attrs, old.Graph.NumEdges(),
+				nd.statsFor(attrs.Dual).WedgePairs, anyCalibrated(nd.costsFor(attrs.Dual)))
+		}
+		nk := k
+		nk.Version = newV
 		switch action {
 		case delta.ActionMigrate:
-			s.cache.Put(newPrefix+rest, old)
+			s.cache.Put(nk, old)
 			res.Migrated++
 			s.ingestMigrated.Add(1)
 		case delta.ActionPatch:
@@ -150,7 +142,7 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 				s.ingestDropped.Add(1)
 				continue
 			}
-			s.cache.Put(newPrefix+rest, patched)
+			s.cache.Put(nk, patched)
 			res.Patched++
 			s.ingestPatched.Add(1)
 		default:
@@ -160,20 +152,20 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	}
 
 	for _, k := range s.mcache.Keys() {
-		rest, ok := strings.CutPrefix(k, oldPrefix)
-		if !ok {
+		if k.Dataset != name || k.Version != oldV {
 			continue
 		}
-		projRest, _, found := strings.Cut(rest, "/measure=")
-		attrs, parsed := parseProjKeyRest(projRest)
-		migrate := found && parsed && s.deltaPolicy == DeltaPolicyPatch &&
+		attrs, patchable := k.attrs()
+		migrate := patchable && s.deltaPolicy == DeltaPolicyPatch &&
 			ctx.Err() == nil && p.Migratable(attrs)
 		val, ok := s.mcache.Remove(k)
 		if !ok {
 			continue
 		}
 		if migrate {
-			s.mcache.Put(newPrefix+rest, val)
+			nk := k
+			nk.Version = newV
+			s.mcache.Put(nk, val)
 			res.MeasuresMigrated++
 			s.ingestMeasureMigrated.Add(1)
 		} else {
@@ -194,75 +186,6 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Policy:           res.Policy,
 	})
 	return res, nil
-}
-
-// parseProjKeyRest parses the version-independent tail of a projection
-// cache key — "orient/s=N/class=...,relabel=...,toplex=...,squeeze=..."
-// (see key) — back into the attributes the patcher decides on. Keys
-// minted by a different build that fail to parse are simply dropped by
-// the caller, which is always sound.
-func parseProjKeyRest(rest string) (delta.KeyAttrs, bool) {
-	var a delta.KeyAttrs
-	orient, rest, ok := strings.Cut(rest, "/")
-	if !ok {
-		return a, false
-	}
-	switch orient {
-	case "line":
-		a.Dual = false
-	case "clique":
-		a.Dual = true
-	default:
-		return a, false
-	}
-	sPart, fp, ok := strings.Cut(rest, "/")
-	if !ok || !strings.HasPrefix(sPart, "s=") {
-		return a, false
-	}
-	sVal, err := strconv.Atoi(sPart[len("s="):])
-	if err != nil || sVal < 1 {
-		return a, false
-	}
-	a.S = sVal
-	for _, field := range strings.Split(fp, ",") {
-		name, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return a, false
-		}
-		switch name {
-		case "class":
-			a.Exact = val == "exact"
-		case "relabel":
-			switch val {
-			case "N":
-				a.Relabel = hg.RelabelNone
-			case "A":
-				a.Relabel = hg.RelabelAscending
-			case "D":
-				a.Relabel = hg.RelabelDescending
-			default:
-				return a, false // unresolved "*" never reaches a cache key
-			}
-		case "toplex":
-			switch val {
-			case "true":
-				a.Toplex = true
-			case "false":
-				a.Toplex = false
-			default:
-				return a, false
-			}
-		case "squeeze":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return a, false
-			}
-			a.Squeeze = b
-		default:
-			return a, false
-		}
-	}
-	return a, true
 }
 
 // anyCalibrated reports whether the model has at least one calibrated

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"hyperline/internal/core"
 	"hyperline/internal/measure"
@@ -45,14 +44,6 @@ func (s *Service) MeasureCacheStats() MeasureCacheStats {
 	}
 }
 
-// measureKey extends a projection cache key with the measure identity:
-// a measure hit is only possible where the projection key would hit,
-// and replacing a dataset (version bump) invalidates both layers at
-// once.
-func measureKey(projKey, measureName string, p measure.Params) string {
-	return fmt.Sprintf("%s/measure=%s?%s", projKey, measureName, p.CanonicalString())
-}
-
 // measureFlight is a measure singleflight outcome: the entry plus
 // whether the flight itself served it from the measure cache.
 type measureFlight struct {
@@ -60,57 +51,14 @@ type measureFlight struct {
 	fromCache bool
 }
 
-// Measure evaluates the named measure on the s-line graph (or s-clique
-// graph, when dual) of the named dataset, serving both the projection
-// and the measure value from their caches when possible. Unknown
-// measures fail with the list of registered ones; params are validated
-// against the measure's schema before any pipeline work runs.
-func (s *Service) Measure(ctx context.Context, name string, dual bool, sVal int, cfg core.PipelineConfig, measureName string, params map[string]string) (*MeasureResult, error) {
-	out, err := s.MeasureSweep(ctx, name, dual, []int{sVal}, cfg, measureName, params)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// MeasureSweep evaluates the named measure across an s-sweep as one
-// batched request — the serving form of the paper's application tables
-// (component counts, diameters, and centralities reported per s). It
-// is a thin view over Query that fails on the first per-s error (the
-// v1 semantics); cached measure values are served as-is, the remaining
-// s values share one batched Stage 1-4 pass followed by one Compute
-// per s, each deduplicated via singleflight and cached individually.
-// Results are ordered by ascending distinct s.
-func (s *Service) MeasureSweep(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig, measureName string, params map[string]string) ([]*MeasureResult, error) {
-	if measureName == "" {
-		// An empty name would turn the Query into a projection-only
-		// request; surface the registry menu instead.
-		_, err := measure.Get(measureName)
-		return nil, err
-	}
-	qr, err := s.Query(ctx, QueryRequest{
-		Dataset: name, Dual: dual, S: sValues, Cfg: cfg,
-		Measure: measureName, Params: params,
-		FailFast: true, // v1 semantics: the first per-s error fails the sweep
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MeasureResult, len(qr.Entries))
-	for i, e := range qr.Entries {
-		out[i] = e.Measure
-	}
-	return out, nil
-}
-
 // measureOne serves one measure evaluation: a singleflight-deduplicated
 // cache probe + Compute under the flight's detached context, so a
 // disconnected client neither aborts an evaluation other clients wait
 // on nor — when it disconnects before the evaluation starts — bumps
 // the compute counter.
-func (s *Service) measureOne(ctx context.Context, mk string, m measure.Measure, p measure.Params, cfg core.PipelineConfig, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
+func (s *Service) measureOne(ctx context.Context, mk measureKey, m measure.Measure, p measure.Params, cfg core.PipelineConfig, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
 	popt := par.Options{Workers: cfg.Core.Workers, Grain: cfg.Core.Grain, Strategy: cfg.Core.Partition}
-	v, err, shared := s.msf.Do(ctx, mk, func(fctx context.Context) (any, error) {
+	v, err, shared := s.msf.Do(ctx, mk.String(), func(fctx context.Context) (any, error) {
 		// Re-probe under the flight: an identical request may have
 		// cached the value between our miss and this call
 		// (singleflight forgets completed flights).

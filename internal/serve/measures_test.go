@@ -21,7 +21,7 @@ func TestMeasureServedFromCache(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("paper", paperExample())
 
-	first, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
+	first, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMeasureServedFromCache(t *testing.T) {
 	if got := svc.MeasureCacheStats().Computes; got != 1 {
 		t.Fatalf("cold measure ran %d computes, want 1", got)
 	}
-	second, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
+	second, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMeasureServedFromCache(t *testing.T) {
 	// Execution knobs (workers) share the entry: the fingerprint
 	// excludes them and measures are worker-deterministic.
 	cfg := core.PipelineConfig{Core: core.Config{Workers: 3}}
-	third, err := svc.Measure(context.Background(), "paper", false, 2, cfg, "components", nil)
+	third, err := measureAt(svc, context.Background(), "paper", false, 2, cfg, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMeasureCacheRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := queries[qIdx[i]]
-			res, err := svc.Measure(context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
+			res, err := measureAt(svc, context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -130,7 +130,7 @@ func TestMeasureCacheRace(t *testing.T) {
 		go func(i int) {
 			defer wg2.Done()
 			q := queries[i%len(queries)]
-			res, err := svc.Measure(context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
+			res, err := measureAt(svc, context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -153,7 +153,7 @@ func TestMeasureCacheNeverStale(t *testing.T) {
 	svc := New(Config{MeasureCacheEntries: 2})
 	// v1: the paper example — 1-line graph has 1 component.
 	svc.Add("d", paperExample())
-	v1, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
+	v1, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +161,15 @@ func TestMeasureCacheNeverStale(t *testing.T) {
 		t.Fatalf("v1 components = %v, want 1", *v1.Value.Scalar)
 	}
 	// Fill the 2-entry LRU with other keys so v1's entry is evicted.
-	if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
+	if _, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
+	if _, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
 		t.Fatal(err)
 	}
 	// v2: two disjoint cliques — 1-line graph has 2 components.
 	svc.Add("d", exampleTwoComponents())
-	v2, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
+	v2, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +182,17 @@ func TestMeasureCacheNeverStale(t *testing.T) {
 	// Churn the full LRU across both versions a few times: every
 	// response must match its version's ground truth.
 	for i := 0; i < 5; i++ {
-		got, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
+		got, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *got.Value.Scalar != 2 {
 			t.Fatalf("round %d served stale components = %v", i, *got.Value.Scalar)
 		}
-		if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
+		if _, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
+		if _, err := measureAt(svc, context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,10 +223,10 @@ func TestMeasureSweepBatching(t *testing.T) {
 	svc.Add("paper", paperExample())
 
 	// Warm s=2 alone first.
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
+	if _, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
 		t.Fatal(err)
 	}
-	results, err := svc.MeasureSweep(context.Background(), "paper", false, []int{3, 1, 2, 2}, core.PipelineConfig{}, "components", nil)
+	results, err := measureSweep(svc, context.Background(), "paper", false, []int{3, 1, 2, 2}, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMeasureSweepBatching(t *testing.T) {
 	if computes != 3 {
 		t.Fatalf("computes = %d, want 3 (s=2 warm + s=1,3 cold)", computes)
 	}
-	again, err := svc.MeasureSweep(context.Background(), "paper", false, []int{1, 2, 3}, core.PipelineConfig{}, "components", nil)
+	again, err := measureSweep(svc, context.Background(), "paper", false, []int{1, 2, 3}, core.PipelineConfig{}, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,21 +267,21 @@ func TestMeasureSweepBatching(t *testing.T) {
 func TestMeasureErrors(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("paper", paperExample())
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "nope", nil); err == nil ||
+	if _, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{}, "nope", nil); err == nil ||
 		!strings.Contains(err.Error(), "components") {
 		t.Fatalf("unknown measure error must list the registry, got %v", err)
 	}
-	if _, err := svc.Measure(context.Background(), "ghost", false, 2, core.PipelineConfig{}, "components", nil); err == nil ||
+	if _, err := measureAt(svc, context.Background(), "ghost", false, 2, core.PipelineConfig{}, "components", nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown dataset") {
 		t.Fatalf("unknown dataset error, got %v", err)
 	}
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "distances", nil); err == nil {
+	if _, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{}, "distances", nil); err == nil {
 		t.Fatal("distances without source must fail")
 	}
 	// A failed compute (absent source hyperedge) must not pollute the
 	// cache or the compute counter's meaning.
 	before := svc.MeasureCacheStats()
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{},
+	if _, err := measureAt(svc, context.Background(), "paper", false, 2, core.PipelineConfig{},
 		"distances", map[string]string{"source": "3"}); err == nil {
 		t.Fatal("absent source hyperedge must fail")
 	}
@@ -291,8 +291,8 @@ func TestMeasureErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPMeasuresEndpoint exercises the new sweep endpoint and the
-// registry listing end to end.
+// TestHTTPMeasuresEndpoint exercises the registry listing and a
+// measure sweep over POST /v2/query end to end.
 func TestHTTPMeasuresEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
@@ -309,95 +309,57 @@ func TestHTTPMeasuresEndpoint(t *testing.T) {
 		}
 	}
 
-	var sweep struct {
-		Measure string `json:"measure"`
-		Results []struct {
-			S      int  `json:"s"`
-			Cached bool `json:"cached"`
-			Nodes  int  `json:"nodes"`
-			Value  struct {
-				Scalar *float64 `json:"scalar"`
-			} `json:"value"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=components",
-		nil, http.StatusOK, &sweep)
+	sweep := postQuery(t, ts, `{"dataset":"paper","s":"1:3","measure":"components"}`, http.StatusOK)
 	if len(sweep.Results) != 3 || sweep.Measure != "components" {
 		t.Fatalf("sweep response: %+v", sweep)
 	}
 	for i, r := range sweep.Results {
-		if r.S != i+1 || r.Value.Scalar == nil {
+		if r.S != i+1 || r.Value == nil || r.Value.Scalar == nil {
 			t.Fatalf("sweep result %d: %+v", i, r)
 		}
 	}
 	// Repeat: all cached.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=components",
-		nil, http.StatusOK, &sweep)
+	sweep = postQuery(t, ts, `{"dataset":"paper","s":"1:3","measure":"components"}`, http.StatusOK)
 	for _, r := range sweep.Results {
 		if !r.Cached {
 			t.Fatalf("repeat sweep s=%d not cached", r.S)
 		}
 	}
 	// Failure modes.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=nope", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?measure=components", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/ghost/measures?s=1&measure=components", nil, http.StatusNotFound, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":"1:3","measure":"nope"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"paper","measure":"components"}`, http.StatusBadRequest)
+	postQuery(t, ts, `{"dataset":"ghost","s":"1","measure":"components"}`, http.StatusNotFound)
 	// Parameterized measure over HTTP.
-	var dist struct {
-		Results []struct {
-			Value struct {
-				Ints []int32 `json:"ints"`
-			} `json:"value"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=2&measure=distances&source=0",
-		nil, http.StatusOK, &dist)
-	if len(dist.Results) != 1 || len(dist.Results[0].Value.Ints) == 0 {
+	dist := postQuery(t, ts, `{"dataset":"paper","s":"2","measure":"distances","params":{"source":"0"}}`, http.StatusOK)
+	if len(dist.Results) != 1 || dist.Results[0].Value == nil || len(dist.Results[0].Value.Ints) == 0 {
 		t.Fatalf("distances sweep: %+v", dist)
 	}
 }
 
-// TestHTTPCentralityKinds pins the centrality endpoint's registry
-// wiring: the three newly exposed kinds work, and an unknown kind is a
-// 400 listing the valid kinds — never a silent default.
+// TestHTTPCentralityKinds pins the centrality measures' registry
+// wiring over HTTP: every kind answers, a misspelled one is a 400
+// listing the registered measures — never a silent default — and a
+// repeat is served from the measure cache.
 func TestHTTPCentralityKinds(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
-	var cent struct {
-		Cached bool `json:"cached"`
-		Result struct {
-			Kind   string    `json:"kind"`
-			Scores []float64 `json:"scores"`
-		} `json:"result"`
-	}
 	for _, kind := range []string{"betweenness", "closeness", "harmonic", "pagerank", "eccentricity"} {
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind="+kind,
-			nil, http.StatusOK, &cent)
-		if cent.Result.Kind != kind || len(cent.Result.Scores) == 0 {
-			t.Fatalf("centrality %s: %+v", kind, cent.Result)
+		got := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"`+kind+`"}`, http.StatusOK).Results[0]
+		if got.Value == nil || len(got.Value.Scores)+len(got.Value.Ints) != 3 {
+			t.Fatalf("centrality %s: %+v", kind, got)
 		}
 	}
-	// Default kind is betweenness.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2", nil, http.StatusOK, &cent)
-	if cent.Result.Kind != "betweenness" {
-		t.Fatalf("default kind = %q", cent.Result.Kind)
-	}
-	// Unknown kind: 400 with the menu.
 	var errBody struct {
 		Error string `json:"error"`
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=closness",
-		nil, http.StatusBadRequest, &errBody)
+	do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(`{"dataset":"paper","s":[2],"measure":"closness"}`),
+		http.StatusBadRequest, &errBody)
 	for _, want := range []string{"closeness", "eccentricity", "pagerank"} {
 		if !strings.Contains(errBody.Error, want) {
-			t.Fatalf("unknown-kind error must list %q: %s", want, errBody.Error)
+			t.Fatalf("unknown-measure error must list %q: %s", want, errBody.Error)
 		}
 	}
-	// Legacy endpoints share the measure cache: a repeat is cached.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=closeness",
-		nil, http.StatusOK, &cent)
-	if !cent.Cached {
+	if got := postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"closeness"}`, http.StatusOK).Results[0]; !got.Cached {
 		t.Fatal("repeated centrality must be served from the measure cache")
 	}
 }

@@ -125,9 +125,9 @@ func TestMetricsExpositionShape(t *testing.T) {
 	// Touch every subsystem so histograms and dedups have samples:
 	// a compute (projection computes + stage timings), a repeat (cache
 	// hits), and a measure query.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/components?s=2", nil, http.StatusOK, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK)
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"components"}`, http.StatusOK)
 
 	types, samples := scrapeMetrics(t, ts.URL)
 	for name, typ := range metricFamilies {
@@ -174,13 +174,13 @@ func TestMetricsExpositionShape(t *testing.T) {
 func TestMetricsCountersMonotonicAndTruthful(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK)
 	_, before := scrapeMetrics(t, ts.URL)
 
 	// One cache hit, one fresh compute, one 404.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=3", nil, http.StatusOK, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/nope/slinegraph?s=2", nil, http.StatusNotFound, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK)
+	postQuery(t, ts, `{"dataset":"paper","s":[3]}`, http.StatusOK)
+	postQuery(t, ts, `{"dataset":"nope","s":[2]}`, http.StatusNotFound)
 	_, after := scrapeMetrics(t, ts.URL)
 
 	for name, v := range before {

@@ -27,11 +27,11 @@ func TestAutoKnobsShareCacheWithPinned(t *testing.T) {
 	ctx := context.Background()
 
 	// Pinned default computes...
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, core.PipelineConfig{}); err != nil || cached {
+	if _, cached, err := lineGraph(svc, ctx, "h", 2, core.PipelineConfig{}); err != nil || cached {
 		t.Fatalf("pinned first query: cached=%v err=%v, want fresh compute", cached, err)
 	}
 	// ...and the auto twin must hit the same entry.
-	res, cached, err := svc.SLineGraph(ctx, "h", 2, autoCfg())
+	res, cached, err := lineGraph(svc, ctx, "h", 2, autoCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestAutoKnobsShareCacheWithPinned(t *testing.T) {
 	// resolved key, which the pinned twin hits.
 	svc2 := New(Config{})
 	svc2.Add("h", paperExample())
-	first, cached, err := svc2.SLineGraph(ctx, "h", 2, autoCfg())
+	first, cached, err := lineGraph(svc2, ctx, "h", 2, autoCfg())
 	if err != nil || cached {
 		t.Fatalf("auto first query: cached=%v err=%v, want fresh compute", cached, err)
 	}
 	if first.Plan.KnobReason == "" {
 		t.Fatal("auto-planned result carries no knob reason")
 	}
-	if _, cached, err = svc2.SLineGraph(ctx, "h", 2, core.PipelineConfig{}); err != nil || !cached {
+	if _, cached, err = lineGraph(svc2, ctx, "h", 2, core.PipelineConfig{}); err != nil || !cached {
 		t.Fatalf("pinned query after auto: cached=%v err=%v, want hit", cached, err)
 	}
 }
@@ -67,16 +67,16 @@ func TestAutoKnobsSplitFromOtherPinned(t *testing.T) {
 	ctx := context.Background()
 
 	asc := core.PipelineConfig{Core: core.Config{Relabel: hg.RelabelAscending}}
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, asc); err != nil || cached {
+	if _, cached, err := lineGraph(svc, ctx, "h", 2, asc); err != nil || cached {
 		t.Fatalf("pinned-ascending first query: cached=%v err=%v", cached, err)
 	}
 	// Auto resolves to RelabelNone here, so it must NOT hit the
 	// ascending entry.
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, autoCfg()); err != nil || cached {
+	if _, cached, err := lineGraph(svc, ctx, "h", 2, autoCfg()); err != nil || cached {
 		t.Fatalf("auto query after pinned-ascending: cached=%v err=%v, want split (fresh compute)", cached, err)
 	}
 	// And the ascending entry is still there.
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, asc); err != nil || !cached {
+	if _, cached, err := lineGraph(svc, ctx, "h", 2, asc); err != nil || !cached {
 		t.Fatalf("pinned-ascending repeat: cached=%v err=%v, want hit", cached, err)
 	}
 }
@@ -90,10 +90,10 @@ func TestMeasureCacheSharesResolvedKeys(t *testing.T) {
 	svc.Add("h", paperExample())
 	ctx := context.Background()
 
-	if _, err := svc.Measure(ctx, "h", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
+	if _, err := measureAt(svc, ctx, "h", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
 		t.Fatal(err)
 	}
-	mr, err := svc.Measure(ctx, "h", false, 2, autoCfg(), "components", nil)
+	mr, err := measureAt(svc, ctx, "h", false, 2, autoCfg(), "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestCalibrationLifecycle(t *testing.T) {
 		t.Fatalf("fresh dataset has calibration: %+v", info)
 	}
 
-	if _, _, err := svc.SLineGraphs(ctx, "h", []int{2, 3}, core.PipelineConfig{}); err != nil {
+	if _, _, err := lineGraphs(svc, ctx, "h", []int{2, 3}, core.PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.SCliqueGraph(ctx, "h", 1, core.PipelineConfig{}); err != nil {
+	if _, _, err := cliqueGraph(svc, ctx, "h", 1, core.PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	info, err = svc.Calibration("h")
@@ -166,7 +166,7 @@ func TestCostsEndpoint(t *testing.T) {
 		t.Fatalf("fresh costs = %+v, want empty tables", fresh)
 	}
 
-	if _, _, err := svc.SLineGraph(context.Background(), "paper", 2, core.PipelineConfig{}); err != nil {
+	if _, _, err := lineGraph(svc, context.Background(), "paper", 2, core.PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	var after struct {

@@ -10,7 +10,7 @@ import (
 // QueryRequest is the serve-level form of the v2 unified query: one
 // dataset, one orientation, an s-list, an optional Stage-5 measure, and
 // the pipeline configuration. It is the single request shape behind
-// POST /v2/query, Session.Execute, and the v1 compatibility wrappers.
+// POST /v2/query, warmup, and Session.Execute.
 type QueryRequest struct {
 	// Dataset names a registered dataset.
 	Dataset string
@@ -20,8 +20,8 @@ type QueryRequest struct {
 	// core.ValidateSValues; duplicates collapse, results are ordered by
 	// ascending distinct s).
 	S []int
-	// Cfg is the pipeline configuration (options fingerprint drives the
-	// cache keys exactly as in the v1 paths).
+	// Cfg is the pipeline configuration; its options fingerprint is
+	// part of every cache key.
 	Cfg core.PipelineConfig
 	// Measure optionally names a registered Stage-5 measure to
 	// evaluate on every projection of the sweep.
@@ -29,12 +29,6 @@ type QueryRequest struct {
 	// Params are the measure's raw parameters (validated against its
 	// schema before any pipeline work runs).
 	Params map[string]string
-	// FailFast makes the first per-s measure error fail the whole
-	// query instead of being recorded on its entry — the v1 sweep
-	// semantics. Without it a sweep whose measure is unsatisfiable at
-	// every s would still evaluate all of them just to report per-s
-	// errors nobody reads.
-	FailFast bool
 	// Priority classifies the query's Stage-3 work for admission
 	// control. The zero value is PriorityInteractive (may wait in the
 	// bounded admission queue); PriorityBackground marks deferrable
@@ -116,12 +110,10 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Resolve planner-driven auto knobs once, up front: the measure
-	// cache keys below embed the configuration fingerprint, so they
-	// must name the concrete knobs the pipeline would run, or a
-	// planner-chosen query would miss the entries its pinned twin
-	// cached. projectBatchAt resolves again — idempotently — for
-	// callers that skip Query.
+	// Resolve planner-driven auto knobs once, up front: every cache
+	// key below embeds the configuration fingerprint, so it must name
+	// the concrete knobs the pipeline would run, or a planner-chosen
+	// query would miss the entries its pinned twin cached.
 	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, core.DistinctS(q.S), q.Cfg)
 
 	distinct := core.DistinctS(q.S)
@@ -149,7 +141,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	// projection the misses need as one batch, then evaluate.
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
-		mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
+		mk := newMeasureKey(newProjKey(q.Dataset, version, q.Dual, sVal, q.Cfg), m, p)
 		if e, ok := s.mcache.Get(mk); ok {
 			i := index[sVal]
 			out.Entries[i].Measure = &MeasureResult{S: sVal, MeasureEntry: e, Cached: true, ProjectionCached: true}
@@ -166,17 +158,13 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 		for _, sVal := range missing {
 			i := index[sVal]
 			out.Entries[i].Res = projs[sVal]
-			mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
+			mk := newMeasureKey(newProjKey(q.Dataset, version, q.Dual, sVal, q.Cfg), m, p)
 			mr, err := s.measureOne(ctx, mk, m, p, q.Cfg, projs[sVal], projCached[sVal])
 			if err != nil {
 				// Cancellation fails the query; anything else is a
-				// per-s outcome (the other s values still answer)
-				// unless the caller asked for v1 fail-fast.
+				// per-s outcome (the other s values still answer).
 				if cerr := ctx.Err(); cerr != nil {
 					return nil, cerr
-				}
-				if q.FailFast {
-					return nil, err
 				}
 				out.Entries[i].Err = err
 				continue

@@ -1,21 +1,27 @@
 // Package serve is the long-running query layer over the s-line graph
-// pipeline: a registry of named hypergraph datasets, an LRU cache of
-// pipeline results keyed by (dataset, version, orientation, s,
-// options-fingerprint), and singleflight deduplication so concurrent
-// identical requests run Stages 1-4 once and share one result.
+// pipeline: a registry of named hypergraph datasets, LRU caches of
+// pipeline results and Stage-5 measure values, and singleflight
+// deduplication so concurrent identical requests run Stages 1-4 once
+// and share one result.
 //
-// The paper treats s-line graphs as a multi-resolution family — the
-// applications repeatedly query the same hypergraph at many s values —
-// so the unit of caching is one materialized projection
-// (core.PipelineResult), and multi-s batches are first-class requests:
-// SLineGraphs/SCliqueGraphs (and Warmup on top of them) collect the
-// uncached s values of a batch and run them as one core.RunBatch call,
-// letting the planner decide whether a single ensemble counting pass or
-// per-s passes serve the batch. Results are immutable by convention:
-// every cache reader receives the same pointer, and the s-measures of
-// Stage 5 only read the graph.
+// Every question is asked one way: Service.Query takes a QueryRequest
+// (dataset, orientation, s-list, optional measure, pipeline options)
+// and answers per-s entries pinned to one dataset version. The paper
+// treats s-line graphs as a multi-resolution family — the applications
+// repeatedly query the same hypergraph at many s values — so the unit
+// of caching is one materialized projection (core.PipelineResult), and
+// a query's uncached s values run as one core.RunBatch call, letting
+// the planner decide whether a single ensemble counting pass or per-s
+// passes serve the batch. Warmup is a background-priority Query.
 //
-// cmd/hyperlined exposes this package over HTTP/JSON; hyperline.Session
+// Cache keys are comparable values (projKey, measureKey) naming the
+// dataset version, orientation, s, and options fingerprint; their
+// String form only names spill files and singleflight flights. Results
+// are immutable by convention: every cache reader receives the same
+// pointer, and the s-measures of Stage 5 only read the graph.
+//
+// NewHandler exposes the service over HTTP/JSON (POST /v2/query plus
+// dataset administration) for cmd/hyperlined; hyperline.Session
 // exposes it to library users.
 package serve
 
@@ -199,8 +205,7 @@ func (s *Service) Calibration(name string) (CalibrationInfo, error) {
 // longer the registry's current version (a concurrent replacement), the
 // stats are recomputed from the snapshot and calibration is skipped:
 // the new version's table says nothing about this hypergraph.
-// Idempotent — both Query and projectBatchAt call it, whichever comes
-// first does the work.
+// Query calls it once, before deriving any key.
 func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, sValues []int, cfg core.PipelineConfig) core.PipelineConfig {
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
@@ -217,46 +222,6 @@ func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual 
 // CacheStats snapshots the result cache counters.
 func (s *Service) CacheStats() CacheStats { return s.cache.Stats() }
 
-// key builds the cache key for one projection request. The dataset
-// version makes replaced datasets miss; the fingerprint folds in every
-// output-relevant option, so requests differing only in execution knobs
-// (workers, grain, partition, counter store) share an entry.
-func key(name string, version uint64, dual bool, sVal int, cfg core.PipelineConfig) string {
-	orient := "line"
-	if dual {
-		orient = "clique"
-	}
-	return fmt.Sprintf("%s@%d/%s/s=%d/%s", name, version, orient, sVal, cfg.Fingerprint())
-}
-
-// SLineGraph returns the s-line graph of the named dataset, serving
-// from the cache when possible. cached reports whether Stages 1-4 were
-// skipped (a cache hit, or a concurrent identical request's result was
-// shared via singleflight). A cancelled ctx aborts cooperatively with
-// ctx.Err() unless another caller still waits on the same computation,
-// in which case the computation finishes (and is cached) without this
-// caller.
-func (s *Service) SLineGraph(ctx context.Context, name string, sVal int, cfg core.PipelineConfig) (res *core.PipelineResult, cached bool, err error) {
-	return s.project(ctx, name, false, sVal, cfg)
-}
-
-// SCliqueGraph returns the s-clique graph (the s-line graph of the dual
-// hypergraph) of the named dataset, serving from the cache when
-// possible.
-func (s *Service) SCliqueGraph(ctx context.Context, name string, sVal int, cfg core.PipelineConfig) (res *core.PipelineResult, cached bool, err error) {
-	return s.project(ctx, name, true, sVal, cfg)
-}
-
-// project serves a single-s request as a batch of one, sharing the
-// batch path's cache probes, singleflight, and cancellation semantics.
-func (s *Service) project(ctx context.Context, name string, dual bool, sVal int, cfg core.PipelineConfig) (*core.PipelineResult, bool, error) {
-	results, cached, err := s.projectBatch(ctx, name, dual, []int{sVal}, cfg, PriorityInteractive)
-	if err != nil {
-		return nil, false, err
-	}
-	return results[sVal], cached[sVal], nil
-}
-
 // batchFlight is a batch flight outcome: per-s results plus which of
 // them the flight found already cached.
 type batchFlight struct {
@@ -264,48 +229,18 @@ type batchFlight struct {
 	hits    map[int]bool
 }
 
-// SLineGraphs returns the s-line graphs of the named dataset for every
-// distinct s in sValues as one batched request: cached projections are
-// served as-is and the remaining s values run through the planner as a
-// single core.RunBatch pass. cached[s] reports whether Stages 1-4 were
-// skipped for that s (a cache hit, or a concurrent identical batch's
-// result was shared via singleflight).
-func (s *Service) SLineGraphs(ctx context.Context, name string, sValues []int, cfg core.PipelineConfig) (results map[int]*core.PipelineResult, cached map[int]bool, err error) {
-	return s.projectBatch(ctx, name, false, sValues, cfg, PriorityInteractive)
-}
-
-// SCliqueGraphs returns the s-clique graphs (s-line graphs of the dual
-// hypergraph) of the named dataset for every distinct s in sValues,
-// batched and cached like SLineGraphs.
-func (s *Service) SCliqueGraphs(ctx context.Context, name string, sValues []int, cfg core.PipelineConfig) (results map[int]*core.PipelineResult, cached map[int]bool, err error) {
-	return s.projectBatch(ctx, name, true, sValues, cfg, PriorityInteractive)
-}
-
-func (s *Service) projectBatch(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
-	h, version, err := s.reg.Get(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.projectBatchAt(ctx, h, version, name, dual, sValues, cfg, pri)
-}
-
-// projectBatchAt is projectBatch against an explicitly pinned dataset
-// snapshot (hypergraph + version): every cache key it derives refers to
-// that version, so callers that already resolved the registry (the
-// measure engine, which must not mix versions within one sweep) stay
-// consistent even if the dataset is concurrently replaced.
+// projectBatchAt serves the projections of every distinct s in sValues
+// against a pinned dataset snapshot (hypergraph + version), so one
+// query never mixes versions even if the dataset is concurrently
+// replaced. Cached projections are served as-is and the rest run as
+// one planner-driven core.RunBatch pass. cached[s] reports whether
+// Stages 1-4 were skipped for that s (a cache hit, or a concurrent
+// identical batch's result was shared via singleflight). A cancelled
+// ctx aborts cooperatively with ctx.Err() unless another caller still
+// waits on the same computation, which then finishes (and is cached)
+// without this caller. sValues must be validated and cfg resolved
+// (resolveAt) by the caller, Query.
 func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, sValues []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
-	if len(sValues) == 0 {
-		return nil, nil, fmt.Errorf("serve: at least one s value is required")
-	}
-	for _, sVal := range sValues {
-		if sVal < 1 {
-			return nil, nil, fmt.Errorf("serve: s must be >= 1, got %d", sVal)
-		}
-	}
-	// Resolve auto knobs before any key is derived: the cache must be
-	// probed under the concrete configuration the pipeline runs.
-	cfg = s.resolveAt(h, version, name, dual, sValues, cfg)
 	if dual {
 		h = h.Dual()
 	}
@@ -314,7 +249,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 	cached := make(map[int]bool, len(distinct))
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
-		if res, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+		if res, ok := s.cache.Get(newProjKey(name, version, dual, sVal, cfg)); ok {
 			results[sVal] = res
 			cached[sVal] = true
 		} else {
@@ -330,7 +265,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 	// single-s requests to hit. The flight runs under its own detached
 	// context (fctx): this caller cancelling only aborts the pipeline
 	// if no other caller still waits on the same flight.
-	bk := fmt.Sprintf("batch/%v%s", missing, key(name, version, dual, 0, cfg))
+	bk := fmt.Sprintf("batch/%v%s", missing, newProjKey(name, version, dual, 0, cfg))
 	v, err, shared := s.sf.Do(ctx, bk, func(fctx context.Context) (any, error) {
 		// Re-probe under the flight: an overlapping batch may have
 		// cached some of these s values between our misses and this
@@ -341,7 +276,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 		}
 		compute := make([]int, 0, len(missing))
 		for _, sVal := range missing {
-			if res, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+			if res, ok := s.cache.Get(newProjKey(name, version, dual, sVal, cfg)); ok {
 				out.results[sVal] = res
 				out.hits[sVal] = true
 			} else {
@@ -372,7 +307,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 				s.metrics.observeStages(res.Timings)
 			}
 			for sVal, res := range computed {
-				s.cache.Put(key(name, version, dual, sVal, cfg), res)
+				s.cache.Put(newProjKey(name, version, dual, sVal, cfg), res)
 				out.results[sVal] = res
 			}
 		}
@@ -404,12 +339,12 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 // saturated it is shed immediately (ErrSaturated) rather than queued,
 // so cache seeding can never starve interactive queries.
 func (s *Service) Warmup(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig) (computed, alreadyHot int, err error) {
-	_, cached, err := s.projectBatch(ctx, name, dual, sValues, cfg, PriorityBackground)
+	qr, err := s.Query(ctx, QueryRequest{Dataset: name, Dual: dual, S: sValues, Cfg: cfg, Priority: PriorityBackground})
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, hit := range cached {
-		if hit {
+	for _, e := range qr.Entries {
+		if e.Cached {
 			alreadyHot++
 		} else {
 			computed++

@@ -39,7 +39,7 @@ func randomHypergraph(seed int64, edges, vertices, meanSize int) *hg.Hypergraph 
 
 func TestUnknownDataset(t *testing.T) {
 	svc := New(Config{})
-	if _, _, err := svc.SLineGraph(context.Background(), "nope", 2, core.PipelineConfig{}); err == nil {
+	if _, _, err := lineGraph(svc, context.Background(), "nope", 2, core.PipelineConfig{}); err == nil {
 		t.Fatal("want error for unknown dataset")
 	}
 	if _, err := svc.Stats("nope"); err == nil {
@@ -50,7 +50,7 @@ func TestUnknownDataset(t *testing.T) {
 func TestRejectsBadS(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	if _, _, err := svc.SLineGraph(context.Background(), "h", 0, core.PipelineConfig{}); err == nil {
+	if _, _, err := lineGraph(svc, context.Background(), "h", 0, core.PipelineConfig{}); err == nil {
 		t.Fatal("want error for s=0")
 	}
 	if _, _, err := svc.Warmup(context.Background(), "h", false, []int{2, 0}, core.PipelineConfig{}); err == nil {
@@ -63,14 +63,14 @@ func TestRepeatedQueryHitsCache(t *testing.T) {
 	svc.Add("h", paperExample())
 	cfg := core.PipelineConfig{}
 
-	r1, cached, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
+	r1, cached, err := lineGraph(svc, context.Background(), "h", 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("first request must be a miss")
 	}
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
+	r2, cached, err := lineGraph(svc, context.Background(), "h", 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestRepeatedQueryHitsCache(t *testing.T) {
 func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	r1, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
+	r1, _, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same request with different worker count / store: same entry.
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{
+	r2, cached, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{
 		Core: core.Config{Workers: 3, Store: core.TLSHash},
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 // TestConcurrentIdenticalRequests is the headline concurrency test: N
 // goroutines requesting the same (dataset, s) must all receive the
 // pointer-identical cached result, whose edges are byte-identical to a
-// direct SLineGraph pipeline call. Run under -race in CI.
+// direct pipeline call. Run under -race in CI.
 func TestConcurrentIdenticalRequests(t *testing.T) {
 	h := randomHypergraph(7, 400, 300, 6)
 	svc := New(Config{})
@@ -127,7 +127,7 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			res, _, err := svc.SLineGraph(context.Background(), "rand", 2, cfg)
+			res, _, err := lineGraph(svc, context.Background(), "rand", 2, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -169,9 +169,9 @@ func TestConcurrentMixedRequests(t *testing.T) {
 				sVal := 1 + (g+i)%4
 				var err error
 				if g%2 == 0 {
-					_, _, err = svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+					_, _, err = lineGraph(svc, context.Background(), "rand", sVal, cfg)
 				} else {
-					_, _, err = svc.SCliqueGraph(context.Background(), "rand", sVal, cfg)
+					_, _, err = cliqueGraph(svc, context.Background(), "rand", sVal, cfg)
 				}
 				if err != nil {
 					t.Error(err)
@@ -184,7 +184,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 
 	// Every distinct projection must equal its direct computation.
 	for sVal := 1; sVal <= 4; sVal++ {
-		res, _, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+		res, _, err := lineGraph(svc, context.Background(), "rand", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
 			t.Fatalf("s=%d: cached line graph differs from direct run", sVal)
 		}
-		dres, _, err := svc.SCliqueGraph(context.Background(), "rand", sVal, cfg)
+		dres, _, err := cliqueGraph(svc, context.Background(), "rand", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestWarmupSeedsCacheIdenticalToDirect(t *testing.T) {
 		t.Fatalf("warmup computed %d results (hot %d), want %d, 0", computed, hot, len(sweep))
 	}
 	for _, sVal := range sweep {
-		res, cached, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+		res, cached, err := lineGraph(svc, context.Background(), "rand", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestWarmupAlgorithm1RoutedPerS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sVal := range []int{1, 2} {
-		res, cached, err := svc.SLineGraph(context.Background(), "h", sVal, cfg)
+		res, cached, err := lineGraph(svc, context.Background(), "h", sVal, cfg)
 		if err != nil || !cached {
 			t.Fatalf("s=%d: want warmed hit, cached=%v err=%v", sVal, cached, err)
 		}
@@ -266,14 +266,14 @@ func TestWarmupAlgorithm1RoutedPerS(t *testing.T) {
 func TestDatasetReplacementInvalidates(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	r1, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
+	r1, _, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Replace under the same name: the version bump must force a fresh
 	// computation.
 	svc.Add("h", hg.FromEdgeSlices([][]uint32{{0, 1, 2}, {0, 1, 2}}, 3))
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
+	r2, cached, err := lineGraph(svc, context.Background(), "h", 2, core.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestSpillChurnByteIdentical(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				sVal := 1 + (g+i)%maxS
-				res, _, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+				res, _, err := lineGraph(svc, context.Background(), "rand", sVal, cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -223,13 +223,13 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	svc1.Add("w", h)
 	want := make(map[int]*core.PipelineResult, len(sweep))
 	for _, sVal := range sweep {
-		res, _, err := svc1.SLineGraph(context.Background(), "w", sVal, cfg)
+		res, _, err := lineGraph(svc1, context.Background(), "w", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[sVal] = res
 	}
-	wantMeasure, err := svc1.Measure(context.Background(), "w", false, 2, cfg, "components", nil)
+	wantMeasure, err := measureAt(svc1, context.Background(), "w", false, 2, cfg, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	// from disk), nothing recomputes, and the bytes match the pre-restart
 	// answers.
 	for _, sVal := range sweep {
-		res, cached, err := svc2.SLineGraph(context.Background(), "w", sVal, cfg)
+		res, cached, err := lineGraph(svc2, context.Background(), "w", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	}
 
 	// Measures restore too, through their own codec.
-	m2, err := svc2.Measure(context.Background(), "w", false, 2, cfg, "components", nil)
+	m2, err := measureAt(svc2, context.Background(), "w", false, 2, cfg, "components", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

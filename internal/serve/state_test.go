@@ -32,13 +32,13 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 	svc1.Add("torn", paperExample())
 	want := make(map[int]*core.PipelineResult)
 	for _, sVal := range []int{1, 2} {
-		res, _, err := svc1.SLineGraph(context.Background(), "keep", sVal, cfg)
+		res, _, err := lineGraph(svc1, context.Background(), "keep", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[sVal] = res
 	}
-	if _, _, err := svc1.SLineGraph(context.Background(), "torn", 2, cfg); err != nil {
+	if _, _, err := lineGraph(svc1, context.Background(), "torn", 2, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc1.SaveState(stateDir); err != nil {
@@ -104,7 +104,7 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 
 	// The surviving dataset still serves, byte-identical to pre-crash.
 	for _, sVal := range []int{1, 2} {
-		res, _, err := svc2.SLineGraph(context.Background(), "keep", sVal, cfg)
+		res, _, err := lineGraph(svc2, context.Background(), "keep", sVal, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,11 +119,11 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 	}
 
 	// The torn dataset is simply absent until re-registered.
-	if _, _, err := svc2.SLineGraph(context.Background(), "torn", 2, cfg); !errors.Is(err, ErrUnknownDataset) {
+	if _, _, err := lineGraph(svc2, context.Background(), "torn", 2, cfg); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("torn dataset: got %v, want ErrUnknownDataset", err)
 	}
 	svc2.Add("torn", paperExample())
-	if _, _, err := svc2.SLineGraph(context.Background(), "torn", 2, cfg); err != nil {
+	if _, _, err := lineGraph(svc2, context.Background(), "torn", 2, cfg); err != nil {
 		t.Fatalf("re-registered torn dataset must serve: %v", err)
 	}
 
@@ -165,7 +165,7 @@ func TestRestoreCorruptManifestColdStarts(t *testing.T) {
 		t.Fatalf("cold start restored %v, want none", names)
 	}
 	svc.Add("fresh", paperExample())
-	if _, _, err := svc.SLineGraph(context.Background(), "fresh", 2, core.PipelineConfig{}); err != nil {
+	if _, _, err := lineGraph(svc, context.Background(), "fresh", 2, core.PipelineConfig{}); err != nil {
 		t.Fatalf("service must serve after cold start: %v", err)
 	}
 }

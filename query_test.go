@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyperline"
+	"hyperline/internal/core"
 	"hyperline/internal/experiments"
 )
 
@@ -17,13 +18,13 @@ func paperQueryExample() *hyperline.Hypergraph {
 	}, 6)
 }
 
-// TestExecuteMatchesLegacyFunctions pins the deprecation contract: the
-// v1 top-level functions are wrappers over Execute and must produce
-// identical projections.
-func TestExecuteMatchesLegacyFunctions(t *testing.T) {
+// TestExecuteMatchesCoreRun: Execute's batched, planner-driven sweep
+// answers every s exactly as a per-s pipeline run with Algorithm 2
+// pinned, in both orientations, in ascending s, with the plan recorded.
+func TestExecuteMatchesCoreRun(t *testing.T) {
 	h := paperQueryExample()
 	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
-		Hypergraph: h, S: []int{1, 2, 3}, Options: hyperline.Options{},
+		Hypergraph: h, S: []int{3, 1, 2, 1}, Options: hyperline.Options{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,36 +32,44 @@ func TestExecuteMatchesLegacyFunctions(t *testing.T) {
 	if len(qr.Entries) != 3 {
 		t.Fatalf("want 3 entries, got %d", len(qr.Entries))
 	}
-	legacy := hyperline.SLineGraphs(h, []int{1, 2, 3}, hyperline.Options{})
+	pinned := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoHashmap}}
 	for i, e := range qr.Entries {
 		if e.S != i+1 {
 			t.Fatalf("entries out of order: %v", qr.Entries)
 		}
-		want := legacy[e.S]
+		want, err := core.Run(context.Background(), h, e.S, pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(e.Result.Graph.Edges(), want.Graph.Edges()) ||
 			!reflect.DeepEqual(e.Result.HyperedgeIDs, want.HyperedgeIDs) {
-			t.Fatalf("s=%d: Execute and SLineGraphs diverged", e.S)
+			t.Fatalf("s=%d: Execute and core.Run diverged", e.S)
 		}
 	}
 	if qr.Plan.Strategy == "" {
 		t.Fatal("Execute must report the executed plan")
 	}
 
-	// Clique orientation through both routes.
 	cq, err := hyperline.Execute(context.Background(), hyperline.Query{
 		Hypergraph: h, Kind: hyperline.KindClique, S: []int{1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC := hyperline.SCliqueGraph(h, 1, hyperline.Options{})
+	if cq.Kind != hyperline.KindClique {
+		t.Fatalf("kind = %q, want clique", cq.Kind)
+	}
+	wantC, err := core.Run(context.Background(), h.Dual(), 1, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(cq.Entries[0].Result.Graph.Edges(), wantC.Graph.Edges()) {
-		t.Fatal("clique Execute diverged from SCliqueGraph")
+		t.Fatal("clique Execute diverged from core.Run on the dual")
 	}
 }
 
 // TestExecuteMeasureEntries: a measure query carries one evaluated
-// value per s, matching the legacy per-projection computation.
+// value per s, matching the facade measure on the entry's projection.
 func TestExecuteMeasureEntries(t *testing.T) {
 	h := paperQueryExample()
 	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
@@ -73,29 +82,10 @@ func TestExecuteMeasureEntries(t *testing.T) {
 		if e.Err != nil || e.Measure == nil || e.Measure.Value.Scalar == nil {
 			t.Fatalf("s=%d: broken measure entry %+v", e.S, e)
 		}
-		want := hyperline.SConnectedComponents(hyperline.SLineGraph(h, e.S, hyperline.Options{}))
+		want := hyperline.SConnectedComponents(e.Result)
 		if int(*e.Measure.Value.Scalar) != want.Count {
 			t.Fatalf("s=%d: %v components, want %d", e.S, *e.Measure.Value.Scalar, want.Count)
 		}
-	}
-}
-
-// TestLegacyBatchBeyondMaxSValues: the deprecated batch functions
-// never had Execute's MaxSValues bound — oversized sweeps must still
-// answer (chunked internally), not panic.
-func TestLegacyBatchBeyondMaxSValues(t *testing.T) {
-	h := paperQueryExample()
-	sweep := make([]int, 1100)
-	for i := range sweep {
-		sweep[i] = i + 1
-	}
-	out := hyperline.SLineGraphs(h, sweep, hyperline.Options{})
-	if len(out) != 1100 {
-		t.Fatalf("got %d results, want 1100", len(out))
-	}
-	want := hyperline.SLineGraph(h, 2, hyperline.Options{})
-	if got := out[2]; got.Graph.NumEdges() != want.Graph.NumEdges() {
-		t.Fatalf("chunked batch diverged at s=2: %d vs %d edges", got.Graph.NumEdges(), want.Graph.NumEdges())
 	}
 }
 
@@ -113,6 +103,12 @@ func TestExecuteValidation(t *testing.T) {
 		{Hypergraph: h, S: []int{2}, Measure: "pagerank", // bad param
 			Params: map[string]string{"damping": "7"}},
 	}
+	// A sweep beyond core.MaxSValues is refused, not chunked.
+	oversized := make([]int, core.MaxSValues+1)
+	for i := range oversized {
+		oversized[i] = i + 1
+	}
+	cases = append(cases, hyperline.Query{Hypergraph: h, S: oversized})
 	for i, q := range cases {
 		if _, err := hyperline.Execute(context.Background(), q); err == nil {
 			t.Fatalf("case %d must fail: %+v", i, q)
@@ -120,15 +116,15 @@ func TestExecuteValidation(t *testing.T) {
 	}
 }
 
-// TestSessionExecuteSharesCaches: Session.Execute hits the same caches
-// the deprecated Session methods fill, and vice versa.
+// TestSessionExecuteSharesCaches: Session.Execute hits the cache
+// Warmup fills, serves the identical cached pointer on repeats, and
+// caches measure values the same way.
 func TestSessionExecuteSharesCaches(t *testing.T) {
 	s := hyperline.NewSession(hyperline.SessionOptions{})
 	s.Add("p", paperQueryExample())
 
-	warm, err := s.SLineGraph("p", 2, hyperline.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if n, err := s.Warmup("p", []int{2}, hyperline.Options{}); err != nil || n != 1 {
+		t.Fatalf("warmup computed %d, err %v; want 1", n, err)
 	}
 	qr, err := s.Execute(context.Background(), hyperline.Query{Dataset: "p", S: []int{2}})
 	if err != nil {
@@ -136,9 +132,13 @@ func TestSessionExecuteSharesCaches(t *testing.T) {
 	}
 	e := qr.Entries[0]
 	if !e.Cached {
-		t.Fatal("Execute after SLineGraph must be a cache hit")
+		t.Fatal("Execute after Warmup must be a cache hit")
 	}
-	if e.Result != warm {
+	again, err := s.Execute(context.Background(), hyperline.Query{Dataset: "p", S: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Entries[0].Result != e.Result {
 		t.Fatal("Execute must serve the identical cached pointer")
 	}
 

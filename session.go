@@ -117,7 +117,7 @@ type SessionOptions struct {
 // once and share the result. All methods are safe for concurrent use.
 //
 // Cached results are shared by reference and must be treated as
-// immutable, exactly like the return values of SLineGraph.
+// immutable, exactly like the results of Execute.
 type Session struct {
 	svc *serve.Service
 }
@@ -191,87 +191,13 @@ func (s *Session) Remove(name string) bool { return s.svc.Remove(name) }
 // Datasets lists the registered datasets sorted by name.
 func (s *Session) Datasets() []DatasetInfo { return s.svc.Datasets() }
 
-// SLineGraph returns the s-line graph of the named dataset, computing
-// it at most once per (dataset, s, output-relevant options): repeats —
-// and requests differing only in execution knobs such as Workers or
-// Counters — are served from the cache.
-// Deprecated: use Session.Execute with a Query — it adds cancellation,
-// deadlines, batching, measures, and per-s errors, and serves from the
-// same caches. This wrapper produces identical output.
-func (s *Session) SLineGraph(name string, sVal int, opt Options) (*Result, error) {
-	res, _, err := s.svc.SLineGraph(context.Background(), name, sVal, opt.pipeline())
-	return res, err
-}
-
-// SCliqueGraph returns the s-clique graph of the named dataset, cached
-// like SLineGraph.
-// Deprecated: use Session.Execute with a Query{Kind: KindClique}.
-func (s *Session) SCliqueGraph(name string, sVal int, opt Options) (*Result, error) {
-	res, _, err := s.svc.SCliqueGraph(context.Background(), name, sVal, opt.pipeline())
-	return res, err
-}
-
-// SLineGraphs returns the s-line graphs of the named dataset for every
-// distinct s in sValues as one batched request: cached projections are
-// served as-is, and the rest run through the planner as a single pass
-// (one ensemble count when its memory is affordable). Every computed
-// projection is cached per s, so later SLineGraph calls hit.
-// Deprecated: use Session.Execute with a multi-s Query.
-func (s *Session) SLineGraphs(name string, sValues []int, opt Options) (map[int]*Result, error) {
-	results, _, err := s.svc.SLineGraphs(context.Background(), name, sValues, opt.pipeline())
-	return results, err
-}
-
-// SCliqueGraphs returns the s-clique graphs of the named dataset for
-// every distinct s in sValues, batched and cached like SLineGraphs.
-// Deprecated: use Session.Execute with a Query{Kind: KindClique}.
-func (s *Session) SCliqueGraphs(name string, sValues []int, opt Options) (map[int]*Result, error) {
-	results, _, err := s.svc.SCliqueGraphs(context.Background(), name, sValues, opt.pipeline())
-	return results, err
-}
-
 // Warmup precomputes the s-sweep for the named dataset as one batched
-// planner-driven pass and seeds the cache, so subsequent SLineGraph
-// calls for any swept s are hits. It returns the number of projections
+// planner-driven pass and seeds the cache, so subsequent Execute calls
+// for any swept s (same options) are hits. It returns the number of projections
 // actually computed; already-cached s values are skipped.
 func (s *Session) Warmup(name string, sValues []int, opt Options) (int, error) {
 	computed, _, err := s.svc.Warmup(context.Background(), name, false, sValues, opt.pipeline())
 	return computed, err
-}
-
-// SMeasure evaluates a registered Stage-5 measure on the s-line graph
-// of the named dataset: the projection comes from the result cache and
-// the measure value from the measure cache, so a repeated measure
-// request on a warmed dataset recomputes nothing. params are validated
-// against the measure's schema (see Measures); unknown measures fail
-// with the list of registered ones.
-// Deprecated: use Session.Execute with a Query naming a Measure.
-func (s *Session) SMeasure(name string, sVal int, measureName string, params map[string]string, opt Options) (*MeasureResult, error) {
-	return s.svc.Measure(context.Background(), name, false, sVal, opt.pipeline(), measureName, params)
-}
-
-// SCliqueMeasure evaluates a measure on the s-clique graph (the s-line
-// graph of the dual hypergraph), cached like SMeasure.
-// Deprecated: use Session.Execute with a measure Query{Kind: KindClique}.
-func (s *Session) SCliqueMeasure(name string, sVal int, measureName string, params map[string]string, opt Options) (*MeasureResult, error) {
-	return s.svc.Measure(context.Background(), name, true, sVal, opt.pipeline(), measureName, params)
-}
-
-// SMeasureSweep evaluates one measure across an s-sweep as a single
-// batched request — the library form of the paper's per-s application
-// tables. Uncached projections share one planner-driven batch pass;
-// each measure value is cached per s, so later SMeasure calls hit.
-// Results are ordered by ascending distinct s.
-// Deprecated: use Session.Execute with a multi-s measure Query.
-func (s *Session) SMeasureSweep(name string, sValues []int, measureName string, params map[string]string, opt Options) ([]*MeasureResult, error) {
-	return s.svc.MeasureSweep(context.Background(), name, false, sValues, opt.pipeline(), measureName, params)
-}
-
-// SCliqueMeasureSweep evaluates one measure across an s-sweep of
-// s-clique graphs, batched and cached like SMeasureSweep.
-// Deprecated: use Session.Execute with a measure Query{Kind: KindClique}.
-func (s *Session) SCliqueMeasureSweep(name string, sValues []int, measureName string, params map[string]string, opt Options) ([]*MeasureResult, error) {
-	return s.svc.MeasureSweep(context.Background(), name, true, sValues, opt.pipeline(), measureName, params)
 }
 
 // Calibration snapshots what the self-calibrating planner has measured
