@@ -480,7 +480,7 @@ func BenchmarkBatchSweepSpGEMM(b *testing.B) {
 	}
 }
 
-// ---- Stage 4: defensive Build vs the parallel BuildSorted fast path ----
+// ---- Stage 4: defensive Build vs the zero-copy BuildSorted fast path ----
 
 var stage4Once sync.Once
 var stage4Edges []graph.Edge

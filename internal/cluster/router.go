@@ -348,9 +348,9 @@ func (rt *Router) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 // dataset queryable and keeps the upload a success.
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<32))
+	body, err := serve.ReadBody(w, r, serve.MaxUploadBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading upload: %w", err))
+		writeError(w, serve.BodyStatus(err), fmt.Errorf("cluster: reading upload: %w", err))
 		return
 	}
 	owners, _ := rt.owners(name)
@@ -411,9 +411,9 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 // owner applied it; per-owner outcomes are reported either way, and a
 // unanimous 409 (stale base_version) passes through as a 409.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+	body, err := serve.ReadBody(w, r, serve.MaxIngestBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading ingest body: %w", err))
+		writeError(w, serve.BodyStatus(err), fmt.Errorf("cluster: reading ingest body: %w", err))
 		return
 	}
 	var peek struct {

@@ -828,3 +828,39 @@ func TestRouterRegisterBodyBounded(t *testing.T) {
 		t.Fatalf("oversized registration added %d replicas", n)
 	}
 }
+
+// checkDeclaredOverflow sends one request whose declared Content-Length
+// is one byte past limit, with a tiny body, and asserts the router
+// answers 413 without a sub-request: the bound is checked before the
+// body is read or fanned out.
+func checkDeclaredOverflow(t *testing.T, method, path, body string, limit int64) {
+	t.Helper()
+	var hits atomic.Int64
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	t.Cleanup(rep.Close)
+	rt := NewRouter(Config{Replicas: []string{rep.URL}, Replication: 1})
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	req.ContentLength = limit + 1
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s %s past the bound: status %d, want 413: %s", method, path, rec.Code, rec.Body)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("%s %s past the bound reached a replica %d times", method, path, n)
+	}
+}
+
+// TestRouterUploadBodyBounded: an upload past serve.MaxUploadBytes is
+// refused, not cut at the bound and replicated as a truncated dataset.
+func TestRouterUploadBodyBounded(t *testing.T) {
+	checkDeclaredOverflow(t, http.MethodPut, "/v1/datasets/big", "0 1 2\n", serve.MaxUploadBytes)
+}
+
+// TestRouterIngestBodyBounded: an ingest past serve.MaxIngestBytes is
+// refused with 413, not cut short and reported as a 400.
+func TestRouterIngestBodyBounded(t *testing.T) {
+	checkDeclaredOverflow(t, http.MethodPost, "/v2/ingest", `{"dataset":"big","insert":[[0,1]]}`, serve.MaxIngestBytes)
+}

@@ -17,8 +17,8 @@ import (
 // across worker counts, workload distributions, and counter stores, and
 // BuildSorted on that output must equal the defensive Build.
 func TestAssemblyDeterminism(t *testing.T) {
-	// Exercise the genuinely parallel paths (BuildSorted clamps to a
-	// serial specialization when GOMAXPROCS is 1).
+	// Force real scheduler parallelism so Stage 3's per-worker lists
+	// and par.MergeSorted run concurrently even on single-CPU machines.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(20260728))
 	stores := []CounterStore{StoreAuto, MapPerIteration, TLSDense, TLSHash}
@@ -54,11 +54,11 @@ func TestAssemblyDeterminism(t *testing.T) {
 				}
 			}
 
-			// Stage 4: the zero-copy parallel fast path must equal the
+			// Stage 4: the zero-copy sorted build must equal the
 			// defensive Build on the assembly output.
 			for _, squeeze := range []bool{false, true} {
 				safe := graph.Build(h.NumEdges(), reference, squeeze)
-				fast := graph.BuildSorted(h.NumEdges(), reference, squeeze, par.Options{Workers: 4})
+				fast := graph.BuildSorted(h.NumEdges(), reference, squeeze, par.Options{})
 				if safe.NumNodes() != fast.NumNodes() || safe.NumEdges() != fast.NumEdges() {
 					t.Fatalf("trial %d s=%d squeeze=%v: BuildSorted shape mismatch", trial, s, squeeze)
 				}

@@ -7,6 +7,7 @@ import (
 
 	"hyperline/internal/graph"
 	"hyperline/internal/hg"
+	"hyperline/internal/par"
 )
 
 // Prepared is the exported Stage 1-2 state of a pipeline run: the
@@ -63,7 +64,7 @@ func (pp *Prepared) OrigToWork(origEdges int) []int64 {
 // timing is the caller's (the patch time, for patched projections).
 func (pp *Prepared) Assemble(s int, edges []Edge, overlapTime time.Duration, stats Stats, plan PlanInfo) *PipelineResult {
 	t := time.Now()
-	g := graph.BuildSorted(pp.p.work.NumEdges(), edges, !pp.cfg.NoSqueeze, pp.cfg.Core.parOptions())
+	g := graph.BuildSorted(pp.p.work.NumEdges(), edges, !pp.cfg.NoSqueeze, par.Options{})
 	r := &PipelineResult{
 		S:     s,
 		Graph: g,

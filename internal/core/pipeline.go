@@ -6,6 +6,7 @@ import (
 
 	"hyperline/internal/graph"
 	"hyperline/internal/hg"
+	"hyperline/internal/par"
 	"hyperline/internal/toplex"
 )
 
@@ -249,8 +250,8 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 		}
 		t3 := time.Now()
 		// Every registered strategy emits each list sorted and deduped
-		// with U < V, so Stage 4 takes the parallel zero-copy path.
-		g := graph.BuildSorted(p.work.NumEdges(), edges, !cfg.NoSqueeze, cfg.Core.parOptions())
+		// with U < V, so Stage 4 takes the zero-copy sorted build.
+		g := graph.BuildSorted(p.work.NumEdges(), edges, !cfg.NoSqueeze, par.Options{})
 		squeeze := time.Since(t3)
 		r := &PipelineResult{
 			S:     s,

@@ -1,15 +1,9 @@
 package graph
 
-import (
-	"runtime"
-	"sort"
-	"sync/atomic"
+import "hyperline/internal/par"
 
-	"hyperline/internal/par"
-)
-
-// BuildSorted is the parallel zero-copy fast path of Build for callers
-// that guarantee the s-overlap stage's output invariants:
+// BuildSorted is the zero-copy fast path of Build for callers that
+// guarantee the s-overlap stage's output invariants:
 //
 //   - every edge has U < V (no self-loops),
 //   - edges are sorted by (U, V),
@@ -17,135 +11,15 @@ import (
 //   - all IDs are < numNodes.
 //
 // Under that contract no defensive copy, sort, or coalescing pass is
-// needed, and every remaining stage — degree counting, the squeeze
-// bitmap and prefix sum, CSR scatter, and per-row ordering — runs in
-// parallel under opt. The input slice is read but never modified, and
-// the result is identical to Build(numNodes, edges, squeeze).
+// needed: one serial pass counts degrees, the squeeze remap and CSR
+// offsets are prefix sums over them, and one sequential scatter writes
+// every row already sorted. The input slice is read but never modified,
+// and the result is identical to Build(numNodes, edges, squeeze). The
+// options are ignored; the build is serial.
 //
 // Callers that cannot vouch for the invariants must use Build, which
 // keeps the defensive path.
-func BuildSorted(numNodes int, edges []Edge, squeeze bool, opt par.Options) *Graph {
-	// The parallel path is atomics-heavy; without real hardware
-	// parallelism those atomics serialize into pure overhead, so clamp
-	// by GOMAXPROCS and take the tight serial loops when only one
-	// worker can actually run (still far cheaper than Build — no copy,
-	// no sortedness check, no coalescing pass).
-	if opt.EffectiveWorkers() == 1 || runtime.GOMAXPROCS(0) == 1 {
-		return buildSortedSerial(numNodes, edges, squeeze)
-	}
-	g := &Graph{numEdges: len(edges)}
-	chunks := par.Options{Workers: opt.Workers, Grain: chunkGrain(len(edges), opt)}
-
-	// Degree count over the original ID space. Endpoints scatter
-	// across nodes, so both sides use atomic adds; per-node degrees
-	// fit int32 comfortably (they are bounded by numNodes).
-	deg := make([]int32, numNodes)
-	par.ForChunks(len(edges), chunks, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			atomic.AddInt32(&deg[e.U], 1)
-			atomic.AddInt32(&deg[e.V], 1)
-		}
-	})
-
-	// Squeeze: the presence bitmap is exactly deg > 0, and new IDs are
-	// its parallel exclusive prefix sum.
-	var newID []int64
-	nodeOpt := par.Options{Workers: opt.Workers, Grain: chunkGrain(numNodes, opt)}
-	if squeeze {
-		newID = make([]int64, numNodes)
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					newID[v] = 1
-				}
-			}
-		})
-		present := par.PrefixSum(newID, opt)
-		g.numNodes = int(present)
-		g.orig = make([]uint32, present)
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					g.orig[newID[v]] = uint32(v)
-				}
-			}
-		})
-	} else {
-		g.numNodes = numNodes
-	}
-
-	// CSR offsets: scatter (squeezed) degrees, then parallel prefix
-	// sum.
-	off := make([]int64, g.numNodes+1)
-	if squeeze {
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					off[newID[v]] = int64(deg[v])
-				}
-			}
-		})
-	} else {
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				off[v] = int64(deg[v])
-			}
-		})
-	}
-	total := par.PrefixSum(off[:g.numNodes], opt)
-	off[g.numNodes] = total
-	g.off = off
-
-	// Scatter both directions of every edge. Write positions are
-	// claimed with per-node atomic cursors; the resulting intra-row
-	// order is scheduling-dependent, but rows are re-sorted below and
-	// neighbor IDs within a row are unique, so the final CSR is
-	// deterministic.
-	g.adj = make([]uint32, 2*len(edges))
-	g.wgt = make([]uint32, 2*len(edges))
-	cursor := make([]int64, g.numNodes)
-	par.ForChunks(g.numNodes, nodeOpt, func(_, lo, hi int) {
-		copy(cursor[lo:hi], g.off[lo:hi])
-	})
-	par.ForChunks(len(edges), chunks, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			u, v := int64(e.U), int64(e.V)
-			if squeeze {
-				u, v = newID[e.U], newID[e.V]
-			}
-			pu := atomic.AddInt64(&cursor[u], 1) - 1
-			g.adj[pu], g.wgt[pu] = uint32(v), e.W
-			pv := atomic.AddInt64(&cursor[v], 1) - 1
-			g.adj[pv], g.wgt[pv] = uint32(u), e.W
-		}
-	})
-
-	// Order each adjacency row (ids with parallel weights), one node
-	// per task.
-	par.For(g.numNodes, nodeOpt, func(_, u int) {
-		lo, hi := g.off[u], g.off[u+1]
-		row := rowSorter{ids: g.adj[lo:hi], ws: g.wgt[lo:hi]}
-		if !sort.IsSorted(row) {
-			sort.Sort(row)
-		}
-	})
-	return g
-}
-
-// chunkGrain sizes blocked chunks so each worker sees a handful of
-// claims over n items — coarse enough to amortize the claim, fine
-// enough to balance.
-func chunkGrain(n int, opt par.Options) int {
-	w := opt.EffectiveWorkers()
-	grain := n / (w * 8)
-	if grain < 256 {
-		grain = 256
-	}
-	return grain
-}
-
-// buildSortedSerial is BuildSorted's single-worker specialization.
-func buildSortedSerial(numNodes int, edges []Edge, squeeze bool) *Graph {
+func BuildSorted(numNodes int, edges []Edge, squeeze bool, _ par.Options) *Graph {
 	g := &Graph{numEdges: len(edges)}
 	deg := make([]int32, numNodes)
 	for _, e := range edges {
@@ -209,8 +83,6 @@ func buildSortedSerial(numNodes int, edges []Edge, squeeze bool) *Graph {
 	// edges (u, x) precede edges (x, v) in the (U, V)-sorted input
 	// because u < x — in ascending u, then its forward neighbors in
 	// ascending v, and u < x < v splices the two runs in order. The
-	// squeeze remap preserves this (newID is monotone). The parallel
-	// path cannot rely on it: its atomic cursors scatter rows in
-	// scheduling order.
+	// squeeze remap preserves this (newID is monotone).
 	return g
 }

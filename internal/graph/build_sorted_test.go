@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -58,10 +57,6 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 }
 
 func TestBuildSortedMatchesBuild(t *testing.T) {
-	// Force real scheduler parallelism so the Workers > 1 cases take
-	// the atomic parallel path even on single-CPU test machines
-	// (BuildSorted clamps to the serial path when GOMAXPROCS is 1).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		numNodes := 2 + rng.Intn(200)
@@ -69,11 +64,9 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 		count := rng.Intn(maxEdges/2 + 1)
 		edges := randomSortedEdges(rng, numNodes, count)
 		for _, squeeze := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				safe := Build(numNodes, edges, squeeze)
-				fast := BuildSorted(numNodes, edges, squeeze, par.Options{Workers: workers})
-				graphsEqual(t, safe, fast)
-			}
+			safe := Build(numNodes, edges, squeeze)
+			fast := BuildSorted(numNodes, edges, squeeze, par.Options{})
+			graphsEqual(t, safe, fast)
 		}
 	}
 }
@@ -99,7 +92,7 @@ func TestBuildSortedDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	edges := randomSortedEdges(rng, 64, 100)
 	before := slices.Clone(edges)
-	BuildSorted(64, edges, true, par.Options{Workers: 4})
+	BuildSorted(64, edges, true, par.Options{})
 	if !slices.Equal(edges, before) {
 		t.Fatal("BuildSorted modified its input slice")
 	}

@@ -221,48 +221,6 @@ func kwayMerge[T any](dst []T, slabs [][]T, less func(a, b T) bool) {
 	}
 }
 
-// PrefixSum replaces xs in place with its exclusive prefix sum and
-// returns the total: xs[i] becomes xs[0]+...+xs[i-1]. The scan runs as
-// the textbook two-pass parallel algorithm (per-block sums, serial scan
-// of the block sums, parallel block rewrite).
-func PrefixSum(xs []int64, opt Options) int64 {
-	n := len(xs)
-	w := opt.workers()
-	if w > n/serialSortCutoff {
-		w = n / serialSortCutoff
-	}
-	if w <= 1 {
-		var sum int64
-		for i, x := range xs {
-			xs[i] = sum
-			sum += x
-		}
-		return sum
-	}
-	blockSums := make([]int64, w)
-	For(w, Options{Workers: w, Grain: 1}, func(_, b int) {
-		var sum int64
-		for _, x := range xs[b*n/w : (b+1)*n/w] {
-			sum += x
-		}
-		blockSums[b] = sum
-	})
-	var total int64
-	for b, s := range blockSums {
-		blockSums[b] = total
-		total += s
-	}
-	For(w, Options{Workers: w, Grain: 1}, func(_, b int) {
-		sum := blockSums[b]
-		block := xs[b*n/w : (b+1)*n/w]
-		for i, x := range block {
-			block[i] = sum
-			sum += x
-		}
-	})
-	return total
-}
-
 // Reduce runs fn(worker, i) over [0, n), combining results with the
 // associative combine function; zero is the identity value. Per-worker
 // partials are combined in worker order, so the result is deterministic

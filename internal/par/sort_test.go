@@ -98,31 +98,6 @@ func TestMergeSortedIntoLarge(t *testing.T) {
 	}
 }
 
-func TestPrefixSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 5, serialSortCutoff * 4} {
-		for _, w := range []int{1, 3, 8} {
-			xs := make([]int64, n)
-			for i := range xs {
-				xs[i] = int64(rng.Intn(100))
-			}
-			want := make([]int64, n)
-			var sum int64
-			for i, x := range xs {
-				want[i] = sum
-				sum += x
-			}
-			got := PrefixSum(xs, Options{Workers: w})
-			if got != sum {
-				t.Fatalf("n=%d w=%d: total %d, want %d", n, w, got, sum)
-			}
-			if !slices.Equal(xs, want) {
-				t.Fatalf("n=%d w=%d: exclusive prefix mismatch", n, w)
-			}
-		}
-	}
-}
-
 func TestReduce(t *testing.T) {
 	n := 10000
 	sum := Reduce(n, Options{Workers: 4}, 0, func(_, i int) int { return i }, func(a, b int) int { return a + b })

@@ -243,21 +243,6 @@ func (c *lru[K, V]) Stats() CacheStats {
 // configured.
 const DefaultCacheEntries = 128
 
-// Cache is a thread-safe LRU of pipeline results keyed by
-// (dataset, version, orientation, s, options-fingerprint).
-type Cache struct {
-	lru[projKey, *core.PipelineResult]
-}
-
-// NewCache returns an LRU cache holding up to capacity results
-// (DefaultCacheEntries if capacity <= 0).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheEntries
-	}
-	return &Cache{*newLRU[projKey, *core.PipelineResult](capacity)}
-}
-
 // DefaultMeasureCacheEntries is the measure LRU capacity when none is
 // configured. Measure values are much smaller than pipeline results
 // (one vector or scalar vs a whole CSR graph), so the default is
@@ -295,20 +280,4 @@ func NewMeasureEntry(res *core.PipelineResult, val *measure.Value) *MeasureEntry
 		e.HyperedgeIDs = res.HyperedgeIDs
 	}
 	return e
-}
-
-// MeasureCache is a thread-safe LRU of measure entries keyed by
-// (dataset, version, orientation, s, options-fingerprint, measure,
-// canonical-params) — the pipeline key extended by the measure
-// identity, so it can only hit where the underlying projection key
-// would.
-type MeasureCache struct{ lru[measureKey, *MeasureEntry] }
-
-// NewMeasureCache returns an LRU cache holding up to capacity measure
-// entries (DefaultMeasureCacheEntries if capacity <= 0).
-func NewMeasureCache(capacity int) *MeasureCache {
-	if capacity <= 0 {
-		capacity = DefaultMeasureCacheEntries
-	}
-	return &MeasureCache{*newLRU[measureKey, *MeasureEntry](capacity)}
 }

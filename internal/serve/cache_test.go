@@ -16,7 +16,7 @@ func res(s int) *core.PipelineResult { return &core.PipelineResult{S: s} }
 func pk(name string) projKey { return projKey{Dataset: name} }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := newLRU[projKey, *core.PipelineResult](2)
 	c.Put(pk("a"), res(1))
 	c.Put(pk("b"), res(2))
 	if _, ok := c.Get(pk("a")); !ok { // promotes a
@@ -38,7 +38,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCachePutRefreshesExisting(t *testing.T) {
-	c := NewCache(2)
+	c := newLRU[projKey, *core.PipelineResult](2)
 	c.Put(pk("a"), res(1))
 	c.Put(pk("a"), res(9))
 	if c.Len() != 1 {
@@ -51,13 +51,17 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 }
 
 func TestCacheDefaultCapacity(t *testing.T) {
-	if st := NewCache(0).Stats(); st.Capacity != DefaultCacheEntries {
+	svc := New(Config{})
+	if st := svc.cache.Stats(); st.Capacity != DefaultCacheEntries {
 		t.Fatalf("want default capacity %d, got %d", DefaultCacheEntries, st.Capacity)
+	}
+	if st := svc.mcache.Stats(); st.Capacity != DefaultMeasureCacheEntries {
+		t.Fatalf("want default measure capacity %d, got %d", DefaultMeasureCacheEntries, st.Capacity)
 	}
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(16)
+	c := newLRU[projKey, *core.PipelineResult](16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -171,9 +172,10 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// maxUploadBytes caps PUT dataset bodies; datasets beyond this should
-// be registered server-side via the /load endpoint.
-const maxUploadBytes = 4 << 30
+// MaxUploadBytes caps PUT dataset bodies, here and at the router that
+// replicates them; datasets beyond this should be registered
+// server-side via the /load endpoint.
+const MaxUploadBytes = 4 << 30
 
 // MaxRequestBytes caps the JSON bodies of POST /v2/query, warmup, and
 // load, and of the router endpoints that forward or register with
@@ -191,10 +193,21 @@ func BodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// ReadBody reads a whole request body of at most limit bytes. A
+// declared Content-Length above limit is refused before any byte is
+// read; either overflow returns an *http.MaxBytesError, which
+// BodyStatus maps to 413.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+}
+
 func handleUpload(svc *Service, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	format := r.URL.Query().Get("format")
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxUploadBytes)
 	var err error
 	var h *hg.Hypergraph
 	switch format {

@@ -26,9 +26,10 @@ type ingestResponseJSON struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// maxIngestBytes caps POST /v2/ingest bodies; delta.MaxBatch already
-// bounds the operation count, this bounds raw decode memory.
-const maxIngestBytes = 1 << 30
+// MaxIngestBytes caps POST /v2/ingest bodies, here and at the router
+// that fans them out; delta.MaxBatch already bounds the operation
+// count, this bounds raw decode memory.
+const MaxIngestBytes = 1 << 30
 
 // handleIngest serves POST /v2/ingest: decode, apply, walk the caches,
 // answer with the version transition and the cache outcomes. Version
@@ -36,7 +37,7 @@ const maxIngestBytes = 1 << 30
 // the client re-reads the dataset and rebuilds its delta.
 func handleIngest(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req ingestRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxIngestBytes)).Decode(&req); err != nil {
 		writeError(w, BodyStatus(err), fmt.Errorf("serve: bad /v2/ingest body: %w", err))
 		return
 	}

@@ -74,10 +74,15 @@ type Config struct {
 // measure cache, and request deduplication together. All methods are
 // safe for concurrent use.
 type Service struct {
-	reg    *Registry
-	cache  *Cache
+	reg *Registry
+
+	// cache holds pipeline results keyed by (dataset, version,
+	// orientation, s, options-fingerprint); mcache holds measure
+	// entries keyed by that projection key extended with the measure
+	// identity, so a measure can only hit where its projection would.
+	cache  *lru[projKey, *core.PipelineResult]
 	sf     singleflight
-	mcache *MeasureCache
+	mcache *lru[measureKey, *MeasureEntry]
 	msf    singleflight
 	// measureComputes counts actual measure evaluations (cache misses
 	// that ran Compute) — the instrumentation the cache tests assert
@@ -118,10 +123,16 @@ func New(cfg Config) *Service {
 	if policy == "" {
 		policy = DeltaPolicyPatch
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = DefaultCacheEntries
+	}
+	if cfg.MeasureCacheEntries <= 0 {
+		cfg.MeasureCacheEntries = DefaultMeasureCacheEntries
+	}
 	return &Service{
 		reg:         NewRegistry(),
-		cache:       NewCache(cfg.CacheEntries),
-		mcache:      NewMeasureCache(cfg.MeasureCacheEntries),
+		cache:       newLRU[projKey, *core.PipelineResult](cfg.CacheEntries),
+		mcache:      newLRU[measureKey, *MeasureEntry](cfg.MeasureCacheEntries),
 		adm:         newAdmission(cfg.ShedCostBudget, cfg.MaxInflight, cfg.MaxQueue, cfg.MaxInflightPerDataset),
 		metrics:     newMetrics(),
 		deltaPolicy: policy,
